@@ -2,7 +2,8 @@
 
 JSON reports go to stdout, human-readable summaries to stderr.  Exit codes:
 0 = all verdicts pass, 1 = a mathematical verdict failed, 2 = input or
-validation error, 3 = resource envelope exceeded.
+validation error, 3 = resource envelope exceeded, 4 = internal error (an
+internal cross-check failed, which signals a bug).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 from .counting import CountReport, count_complex, count_complex_additive, enumeration_estimate
 from .documents import complex_to_document, document_to_json, load_complex, read_document
 from .ehrhart import ehrhart_polynomial, hstar_vector
-from .errors import InputError, ResourceLimitError, ValidationError
+from .errors import InputError, IntegrityError, ResourceLimitError, ValidationError
 from .geometry import Simplex
 from .complexes import generate_complex
 from .numtheory import dilation_plan
@@ -27,6 +28,7 @@ EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload: dict) -> None:
@@ -218,6 +220,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         _note(f"resource limit: {exc}")
         return EXIT_RESOURCE
+    except IntegrityError as exc:
+        _note(f"internal error: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

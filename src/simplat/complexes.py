@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
 
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, is_int
 from .geometry import (LatticePoint, Simplex, as_lattice_point,
                        intersection_is_common_face)
 
@@ -91,7 +91,7 @@ def close_under_faces(maximal, vertices, ambient_dim: int | None = None) -> Simp
         if len(set(idx)) != len(idx):
             raise InputError(f"repeated vertex index in face {sorted(idx)}")
         for i in idx:
-            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < len(verts):
+            if not is_int(i) or not 0 <= i < len(verts):
                 raise InputError(f"vertex index {i!r} out of range in face {sorted(idx)}")
         try:
             Simplex(tuple(verts[i] for i in sorted(idx)))
@@ -213,7 +213,7 @@ def validate(c: SimplicialComplex) -> ValidationReport:
 def _as_keep_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         keep = value
-    elif isinstance(value, int) and not isinstance(value, bool):
+    elif is_int(value):
         keep = Fraction(value)
     else:
         raise InputError(f"keep fraction must be int or Fraction, got {type(value).__name__}")
@@ -232,12 +232,12 @@ def generate_complex(dim: int, grid: int, keep_fraction, seed: int) -> Simplicia
     randrange(q) < p from random.Random(seed).  The result is a subcomplex
     of a triangulation, hence always a valid complex.
     """
-    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 4:
+    if not is_int(dim) or not 1 <= dim <= 4:
         raise InputError(f"dim must be an integer in [1, 4], got {dim!r}")
-    if not isinstance(grid, int) or isinstance(grid, bool) or grid < 1:
+    if not is_int(grid) or grid < 1:
         raise InputError(f"grid must be an integer >= 1, got {grid!r}")
     keep = _as_keep_fraction(keep_fraction)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not is_int(seed):
         raise InputError(f"seed must be an integer, got {seed!r}")
 
     verts = [tuple(p) for p in product(range(grid + 1), repeat=dim)]

@@ -1,7 +1,8 @@
 """Exact lattice-point counting in dilated simplices and complex unions.
 
-Counts come from integer bounding-box enumeration with exact membership
-certificates; a declared point budget turns silent slowness into an error.
+Counts of t*s come from integer enumeration of the box of s scaled by t,
+tested against the exact membership certificate of s itself; a declared
+point budget turns silent slowness into an error.
 The additive counter sums relative-interior counts over all faces, which is
 the designated fast path for large dilations (interior counts then come
 from negated-argument Ehrhart evaluation instead of enumeration).
@@ -14,8 +15,8 @@ from itertools import product
 from math import prod
 
 from .complexes import SimplicialComplex
-from .errors import InputError, IntegrityError, ResourceLimitError
-from .geometry import Simplex, bounding_box, dilate, membership_certificate
+from .errors import InputError, IntegrityError, ResourceLimitError, is_int
+from .geometry import Simplex, bounding_box, membership_certificate
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
 
@@ -33,7 +34,7 @@ class CountReport:
 
 
 def _check_dilation(t) -> int:
-    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+    if not is_int(t) or t < 1:
         raise InputError(f"dilation factor must be an integer >= 1, got {t!r}")
     return t
 
@@ -44,45 +45,36 @@ def box_points(s: Simplex, t: int = 1) -> int:
     return prod((h - l) * t + 1 for l, h in zip(lo, hi))
 
 
-def _slab_ranges(lo: int, hi: int, slabs: int):
-    total = hi - lo + 1
-    slabs = max(1, min(slabs, total))
-    step, extra = divmod(total, slabs)
-    start = lo
-    for i in range(slabs):
-        width = step + (1 if i < extra else 0)
-        yield range(start, start + width)
-        start += width
+def _scan(s: Simplex, t: int, strict: bool):
+    """Yield the lattice points of t*s (relative interior only when strict).
 
-
-def _scan(dilated: Simplex, strict: bool, slabs: int = 1):
-    """Yield the lattice points of the dilated simplex (relative interior
-    only when strict), slab by slab along the first axis."""
-    lo, hi = bounding_box(dilated)
-    bary, hull = membership_certificate(dilated)
-    d = len(lo)
-    tail = [range(lo[i], hi[i] + 1) for i in range(1, d)]
-    for head in _slab_ranges(lo[0], hi[0], slabs):
-        for x in product(head, *tail):
-            ok = True
-            for c0, cs in hull:
-                acc = c0
-                for c, xi in zip(cs, x):
-                    acc += c * xi
-                if acc:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for c0, cs in bary:
-                acc = c0
-                for c, xi in zip(cs, x):
-                    acc += c * xi
-                if (acc <= 0) if strict else (acc < 0):
-                    ok = False
-                    break
-            if ok:
-                yield x
+    The membership rows of s serve t*s once each c0 is scaled by t, and the
+    box of t*s is the box of s scaled by t, so no dilated simplex is built.
+    """
+    lo, hi = bounding_box(s)
+    bary, hull = membership_certificate(s)
+    bary = [(t * c0, cs) for c0, cs in bary]
+    hull = [(t * c0, cs) for c0, cs in hull]
+    for x in product(*(range(t * l, t * h + 1) for l, h in zip(lo, hi))):
+        ok = True
+        for c0, cs in hull:
+            acc = c0
+            for c, xi in zip(cs, x):
+                acc += c * xi
+            if acc:
+                ok = False
+                break
+        if not ok:
+            continue
+        for c0, cs in bary:
+            acc = c0
+            for c, xi in zip(cs, x):
+                acc += c * xi
+            if (acc <= 0) if strict else (acc < 0):
+                ok = False
+                break
+        if ok:
+            yield x
 
 
 def _check_budget(points: int, limit: int) -> None:
@@ -91,26 +83,20 @@ def _check_budget(points: int, limit: int) -> None:
             f"enumeration would scan {points} box points, over the budget of {limit}")
 
 
-def count_simplex(s: Simplex, t: int, *, limit: int = DEFAULT_ENUMERATION_LIMIT,
-                  slabs: int = 1) -> int:
-    """|t*s ∩ Z^d| by bounding-box enumeration with exact membership.
-
-    The slab count only partitions the scanned box; any partition yields
-    the identical total.
-    """
+def count_simplex(s: Simplex, t: int, *, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
+    """|t*s ∩ Z^d| by bounding-box enumeration with exact membership."""
     _check_dilation(t)
     _check_budget(box_points(s, t), limit)
-    return sum(1 for _ in _scan(dilate(s, t), strict=False, slabs=slabs))
+    return sum(1 for _ in _scan(s, t, strict=False))
 
 
 def count_relative_interior(s: Simplex, t: int, *,
-                            limit: int = DEFAULT_ENUMERATION_LIMIT,
-                            slabs: int = 1) -> int:
+                            limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
     """Lattice points in the relative interior of t*s (all barycentric
     coordinates strictly positive; a point simplex is its own interior)."""
     _check_dilation(t)
     _check_budget(box_points(s, t), limit)
-    return sum(1 for _ in _scan(dilate(s, t), strict=True, slabs=slabs))
+    return sum(1 for _ in _scan(s, t, strict=True))
 
 
 def enumeration_estimate(c: SimplicialComplex, t: int) -> int:
@@ -128,8 +114,7 @@ def count_complex(c: SimplicialComplex, t: int, *,
     _check_budget(enumeration_estimate(c, t), limit)
     points: set[tuple[int, ...]] = set()
     for face in c.maximal_faces:
-        dilated = dilate(c.simplex(face), t)
-        points.update(_scan(dilated, strict=False))
+        points.update(_scan(c.simplex(face), t, strict=False))
     return len(points)
 
 
@@ -146,7 +131,7 @@ def count_complex_additive(c: SimplicialComplex, t: int, *,
     _check_dilation(t)
     if interiors not in ("auto", "enumerate", "ehrhart"):
         raise InputError(f"unknown interiors mode {interiors!r}")
-    from .ehrhart import ehrhart_polynomial, evaluate
+    from .ehrhart import ehrhart_polynomial
     total = 0
     for face in sorted(map(tuple, map(sorted, c.faces))):
         s = c.simplex(face)
@@ -154,7 +139,7 @@ def count_complex_additive(c: SimplicialComplex, t: int, *,
         use_ehrhart = interiors == "ehrhart" or (interiors == "auto" and t > 2 * m + 2)
         if use_ehrhart:
             poly = ehrhart_polynomial(s, limit=limit)
-            value = (-1) ** m * evaluate(poly, -t)
+            value = (-1) ** m * poly.evaluate(-t)
             if value.denominator != 1 or value < 0:
                 raise IntegrityError(
                     f"interior evaluation produced a non-count {value} for face {face}")

@@ -13,15 +13,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .complexes import SimplicialComplex, close_under_faces, validate
-from .errors import InputError, ParseError, ValidationError
+from .errors import InputError, ParseError, ValidationError, is_int
 
 DOCUMENT_KEYS = ("ambient_dim", "vertices", "maximal_simplices")
 MAX_SAFE_INT = 2 ** 53 - 1
 MAX_AMBIENT_DIM = 6
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ def parse_document(source) -> ComplexDocument:
             f"missing {missing}, unexpected {extra}")
 
     dim = data["ambient_dim"]
-    if not _is_int(dim) or not 1 <= dim <= MAX_AMBIENT_DIM:
+    if not is_int(dim) or not 1 <= dim <= MAX_AMBIENT_DIM:
         raise ParseError(f"ambient_dim must be an integer in [1, {MAX_AMBIENT_DIM}], got {dim!r}")
 
     raw_vertices = data["vertices"]
@@ -76,7 +72,7 @@ def parse_document(source) -> ComplexDocument:
         if not isinstance(v, list) or len(v) != dim:
             raise ParseError(f"vertex {i} must be a list of {dim} coordinates, got {v!r}")
         for c in v:
-            if not _is_int(c):
+            if not is_int(c):
                 raise ParseError(f"vertex {i} has a non-integer coordinate {c!r}")
             if abs(c) > MAX_SAFE_INT:
                 raise ParseError(
@@ -91,7 +87,7 @@ def parse_document(source) -> ComplexDocument:
         if not isinstance(f, list) or not f:
             raise ParseError(f"maximal simplex {j} must be a nonempty list of indices")
         for i in f:
-            if not _is_int(i) or not 0 <= i < len(vertices):
+            if not is_int(i) or not 0 <= i < len(vertices):
                 raise ParseError(f"maximal simplex {j} has a bad vertex index {i!r}")
         if len(set(f)) != len(f):
             raise ParseError(f"maximal simplex {j} repeats a vertex index")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import DEFAULT_ENUMERATION_LIMIT, box_points, count_simplex
-from .errors import InputError, IntegrityError
+from .errors import InputError, IntegrityError, is_int
 from .geometry import LatticePoint, Simplex
 from .numtheory import binomial, floor_log, is_prime
 
@@ -43,7 +43,7 @@ class EhrhartPolynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, t: int) -> Fraction:
-        if not isinstance(t, int) or isinstance(t, bool):
+        if not is_int(t):
             raise InputError(f"evaluation point must be an integer, got {t!r}")
         acc = Fraction(0)
         for c in reversed(self.coefficients):
@@ -53,11 +53,6 @@ class EhrhartPolynomial:
     def as_dict(self) -> dict:
         return {"degree": self.degree,
                 "coefficients": [str(c) for c in self.coefficients]}
-
-
-def evaluate(poly: EhrhartPolynomial, t: int) -> Fraction:
-    """Exact value of the polynomial at any integer t (negative included)."""
-    return poly.evaluate(t)
 
 
 def interpolate_counts(values) -> EhrhartPolynomial:
@@ -200,7 +195,7 @@ def verify_simplex_congruence(s: Simplex, p: int, k: int, *,
     """
     if not is_prime(p):
         raise InputError(f"p must be prime, got {p!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not is_int(k) or k < 1:
         raise InputError(f"k must be an integer >= 1, got {k!r}")
     m = s.intrinsic_dim
     l = floor_log(p, m) if m >= 1 else 0
@@ -211,7 +206,7 @@ def verify_simplex_congruence(s: Simplex, p: int, k: int, *,
         count = count_simplex(s, t, limit=limit)
         method = "enumeration"
     else:
-        value = evaluate(ehrhart_polynomial(s, limit=limit), t)
+        value = ehrhart_polynomial(s, limit=limit).evaluate(t)
         if value.denominator != 1:
             raise IntegrityError(f"non-integer count {value} at t={t}")
         count = int(value)

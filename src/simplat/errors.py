@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer predicate
+behind every argument check."""
 
 
 class SimplatError(Exception):
@@ -23,3 +24,8 @@ class ResourceLimitError(SimplatError):
 
 class IntegrityError(SimplatError):
     """An internal cross-check failed; this signals a bug, not bad input."""
+
+
+def is_int(value: object) -> bool:
+    """Whether value is a true int (bool excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -14,14 +14,10 @@ from functools import lru_cache
 from math import lcm
 
 from . import exactlp
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, is_int
 
 LatticePoint = tuple[int, ...]
 RationalPoint = tuple[Fraction, ...]
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def as_lattice_point(value: object, dim: int | None = None) -> LatticePoint:
@@ -32,7 +28,7 @@ def as_lattice_point(value: object, dim: int | None = None) -> LatticePoint:
     if not pt:
         raise InputError("lattice point must have at least one coordinate")
     for c in pt:
-        if not _is_int(c):
+        if not is_int(c):
             raise InputError(f"lattice coordinates must be integers, got {c!r}")
     if dim is not None and len(pt) != dim:
         raise InputError(f"expected a point in dimension {dim}, got {len(pt)} coordinates")
@@ -50,7 +46,7 @@ def as_rational_point(value: object, dim: int | None = None) -> RationalPoint:
     for c in value:
         if isinstance(c, Fraction):
             out.append(c)
-        elif _is_int(c):
+        elif is_int(c):
             out.append(Fraction(c))
         else:
             raise InputError(f"coordinates must be int or Fraction, got {type(c).__name__}")
@@ -62,17 +58,18 @@ def as_rational_point(value: object, dim: int | None = None) -> RationalPoint:
 
 
 @lru_cache(maxsize=None)
-def _affine_data(vertices: tuple[LatticePoint, ...]):
-    """Row-reduce the affine system of a vertex tuple.
+def _certificate(vertices: tuple[LatticePoint, ...]):
+    """Row-reduce the affine system of a vertex tuple into integer rows.
 
-    Returns (bary_rows, hull_rows) of Fraction tuples such that with
-    b = (1, x_1, ..., x_d):
+    Returns (bary_rows, hull_rows, bary_denoms); each row is (c0, coeffs)
+    such that for a point x
 
-        lambda_j       = bary_rows[j] . b
-        x in aff hull  iff  hull_rows[r] . b == 0 for every r
+        lambda_j       = (c0 + coeffs . x) / bary_denoms[j]  for bary_rows[j]
+        x in aff hull  iff  c0 + coeffs . x == 0 for every hull row
 
     or None when the vertices are affinely dependent.  Works by reducing
-    [A | I] where A maps barycentric weights to (1, x).
+    [A | I] where A maps barycentric weights to (1, x) over Fraction, then
+    clears each row's denominators (a positive factor keeps every sign).
     """
     k = len(vertices)
     d = len(vertices[0])
@@ -100,9 +97,11 @@ def _affine_data(vertices: tuple[LatticePoint, ...]):
                 prow = mat[pivot_row]
                 mat[r] = [a - f * b for a, b in zip(mat[r], prow)]
         pivot_row += 1
-    bary = tuple(tuple(row[k:]) for row in mat[:k])
-    hull = tuple(tuple(row[k:]) for row in mat[k:])
-    return bary, hull
+    denoms = [lcm(*(f.denominator for f in row[k:])) for row in mat]
+    ints = [[f.numerator * (m // f.denominator) for f in row[k:]]
+            for row, m in zip(mat, denoms)]
+    cert = tuple((r[0], tuple(r[1:])) for r in ints)
+    return cert[:k], cert[k:], tuple(denoms[:k])
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ class Simplex:
         if len(self.vertices) > dim + 1:
             raise ValidationError(
                 f"{len(self.vertices)} vertices cannot be affinely independent in Z^{dim}")
-        if _affine_data(self.vertices) is None:
+        if _certificate(self.vertices) is None:
             raise ValidationError(f"vertices are affinely dependent: {self.vertices}")
 
     @property
@@ -150,12 +149,12 @@ def barycentric_coordinates(s: Simplex, x) -> tuple[Fraction, ...] | None:
     """Exact barycentric coordinates of x with respect to s, or None when x
     lies outside the affine hull of s."""
     pt = as_rational_point(x, s.ambient_dim)
-    bary, hull = _affine_data(s.vertices)
-    b = (Fraction(1),) + pt
-    for row in hull:
-        if sum(c * v for c, v in zip(row, b)):
+    bary, hull, denoms = _certificate(s.vertices)
+    for c0, cs in hull:
+        if c0 + sum(c * v for c, v in zip(cs, pt)):
             return None
-    return tuple(sum(c * v for c, v in zip(row, b)) for row in bary)
+    return tuple((c0 + sum(c * v for c, v in zip(cs, pt))) / m
+                 for (c0, cs), m in zip(bary, denoms))
 
 
 def contains_point(s: Simplex, x) -> bool:
@@ -166,24 +165,9 @@ def contains_point(s: Simplex, x) -> bool:
 
 def dilate(s: Simplex, t: int) -> Simplex:
     """The dilated simplex t*s (every vertex scaled by the integer t >= 1)."""
-    if not _is_int(t) or t < 1:
+    if not is_int(t) or t < 1:
         raise InputError(f"dilation factor must be an integer >= 1, got {t!r}")
     return Simplex(tuple(tuple(c * t for c in v) for v in s.vertices))
-
-
-@lru_cache(maxsize=None)
-def _certificate(vertices: tuple[LatticePoint, ...]):
-    bary, hull = _affine_data(vertices)
-
-    def scale(rows):
-        out = []
-        for row in rows:
-            mult = lcm(*(f.denominator for f in row))
-            ints = tuple(int(f * mult) for f in row)
-            out.append((ints[0], ints[1:]))
-        return tuple(out)
-
-    return scale(bary), scale(hull)
 
 
 def membership_certificate(s: Simplex):
@@ -193,8 +177,13 @@ def membership_certificate(s: Simplex):
     y = c0 + coeffs . x.  A lattice point x lies in s iff every hull row
     evaluates to 0 and every barycentric row evaluates >= 0; it lies in the
     relative interior iff the barycentric rows are all > 0.
+
+    The same rows serve every dilation t*s once each c0 is scaled by t:
+    x lies in t*s iff x/t lies in s, and t*c0 + coeffs . x has the sign
+    of c0 + coeffs . (x/t).
     """
-    return _certificate(s.vertices)
+    bary, hull, _ = _certificate(s.vertices)
+    return bary, hull
 
 
 def _common_face_lp(a: Simplex, b: Simplex, shared: set[LatticePoint]) -> bool:

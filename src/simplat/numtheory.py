@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
 
-from .errors import InputError
+from .errors import InputError, is_int
 
 FACTORIZE_BOUND = 10 ** 12
 
 
 def _check_int(value, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise InputError(f"{name} must be an integer, got {value!r}")
     return value
 

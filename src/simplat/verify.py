@@ -12,7 +12,7 @@ from .counting import (DEFAULT_ENUMERATION_LIMIT, count_complex,
                        count_complex_additive, enumeration_estimate)
 from .documents import complex_to_document
 from .ehrhart import SimplexCongruenceReport, verify_simplex_congruence
-from .errors import InputError
+from .errors import InputError, is_int
 from .numtheory import DilationPlan, dilation_plan
 
 VERIFY_ENUMERATION_BUDGET = 20_000
@@ -144,7 +144,7 @@ def run_fuzz(dim: int, grid: int, n: int, trials: int, seed: int, *,
     (dim, grid, n, trials, seed).  Any failing trial is serialized in full
     for replay.
     """
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+    if not is_int(trials) or trials < 1:
         raise InputError(f"trials must be an integer >= 1, got {trials!r}")
     plan = dilation_plan(dim, n)
     passes = 0
@@ -203,7 +203,7 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
     """Count at every dilation 1..t_max and flag which satisfy the
     congruence; exploratory, since the planned dilation is sufficient but
     not always minimal."""
-    if not isinstance(t_max, int) or isinstance(t_max, bool) or t_max < 1:
+    if not is_int(t_max) or t_max < 1:
         raise InputError(f"t_max must be an integer >= 1, got {t_max!r}")
     plan = dilation_plan(c.ambient_dim, n)
     euler = euler_characteristic(c)

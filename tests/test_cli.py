@@ -7,6 +7,7 @@ import json
 import pytest
 
 from simplat import cli
+from simplat.errors import IntegrityError
 
 from helpers import L_SHAPE_DOC, UNIT_SQUARE_DOC
 
@@ -223,3 +224,14 @@ class TestTopLevel:
     def test_stdout_is_pure_json(self, capsys, square_file):
         _, out, _ = run(capsys, "verify", square_file, "--modulus", "4")
         json.loads(out)  # would raise if the human text leaked to stdout
+
+    def test_internal_error_exits_4_with_one_line(self, capsys, monkeypatch,
+                                                  square_file):
+        def broken(*args, **kwargs):
+            raise IntegrityError("cross-check failed")
+
+        monkeypatch.setattr(cli, "run_verify", broken)
+        code, out, err = run(capsys, "verify", square_file, "--modulus", "4")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "internal error: cross-check failed\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,7 +16,7 @@ from simplat.errors import InputError, ResourceLimitError
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
                      hollow_triangle_count, l_shape_count, random_simplex,
-                     square_count)
+                     square_count, sympy_barycentric)
 
 UNIT_TRIANGLE = Simplex(((0, 0), (1, 0), (0, 1)))
 
@@ -63,12 +64,6 @@ class TestCountSimplex:
             with pytest.raises(InputError):
                 count_simplex(UNIT_TRIANGLE, bad)
 
-    def test_slab_partition_is_invisible(self):
-        s = Simplex(((0, 0), (4, 1), (1, 3)))
-        base = count_simplex(s, 3)
-        for slabs in (2, 3, 8):
-            assert count_simplex(s, 3, slabs=slabs) == base
-
     def test_budget_exceeded(self):
         with pytest.raises(ResourceLimitError):
             count_simplex(UNIT_TRIANGLE, 1000, limit=100)
@@ -102,6 +97,41 @@ class TestInterior:
             s = random_simplex(rng, rng.randint(1, 3), coord_max=2)
             t = rng.randint(1, 4)
             assert count_relative_interior(s, t) <= count_simplex(s, t)
+
+
+class TestRescaledCertificate:
+    """count_simplex and count_relative_interior scan t*s with the rows of
+    s; this oracle scans the same box with sympy's solver on the vertices
+    of t*s, so neither the rows nor their rescaling is trusted."""
+
+    @staticmethod
+    def oracle(s, t):
+        verts = [tuple(t * c for c in v) for v in s.vertices]
+        lo = [min(v[i] for v in verts) for i in range(s.ambient_dim)]
+        hi = [max(v[i] for v in verts) for i in range(s.ambient_dim)]
+        closed = interior = 0
+        for x in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+            coords = sympy_barycentric(verts, x)
+            if coords is None:
+                continue
+            closed += all(c >= 0 for c in coords)
+            interior += all(c > 0 for c in coords)
+        return closed, interior
+
+    def test_matches_sympy_scan_of_dilated_box(self):
+        rng = random.Random(71)
+        for ambient in (1, 2, 3):
+            for m in range(ambient + 1):
+                s = random_simplex(rng, ambient, coord_max=2, intrinsic=m)
+                shift = tuple(rng.randint(-4, -1) for _ in range(ambient))
+                s = Simplex(tuple(tuple(c + d for c, d in zip(v, shift))
+                                  for v in s.vertices))
+                for t in (1, 2, 3):
+                    closed, interior = self.oracle(s, t)
+                    assert count_simplex(s, t) == closed, (s.vertices, t)
+                    assert count_relative_interior(s, t) == interior, (s.vertices, t)
+                    if m == 0:
+                        assert closed == interior == 1
 
 
 class TestBoxes:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from simplat import (EhrhartPolynomial, Simplex, count_relative_interior,
-                     count_simplex, ehrhart_polynomial, evaluate, hstar_vector,
+                     count_simplex, ehrhart_polynomial, hstar_vector,
                      interpolate_counts, verify_simplex_congruence)
 from simplat.errors import InputError, IntegrityError
 
