@@ -56,7 +56,7 @@ def _document_simplex(doc, index: int) -> Simplex:
 def _cmd_count(args) -> int:
     doc, complex_ = _load(args.file)
     if complex_.faces and enumeration_estimate(complex_, args.dilate) > VERIFY_ENUMERATION_BUDGET:
-        count = count_complex_additive(complex_, args.dilate, interiors="ehrhart")
+        count = count_complex_additive(complex_, args.dilate)
         method = "additive"
     else:
         count = count_complex(complex_, args.dilate)

@@ -1,11 +1,13 @@
 """Exact lattice-point counting in dilated simplices and complex unions.
 
 Counts of t*s come from integer enumeration of the box of s scaled by t,
-tested against the exact membership certificate of s itself; a declared
-point budget turns silent slowness into an error.
+tested against the exact membership certificate of s itself; a scan over
+DEFAULT_ENUMERATION_LIMIT box points raises ResourceLimitError instead of
+running slowly.
 The additive counter sums relative-interior counts over all faces, which is
-the designated fast path for large dilations (interior counts then come
-from negated-argument Ehrhart evaluation instead of enumeration).
+the designated fast path for large dilations: each interior count is
+(-1)^m L(-t) of the face's verified counting polynomial L, by
+Ehrhart-Macdonald reciprocity.
 """
 
 from __future__ import annotations
@@ -77,25 +79,25 @@ def _scan(s: Simplex, t: int, strict: bool):
             yield x
 
 
-def _check_budget(points: int, limit: int) -> None:
-    if points > limit:
+def _check_budget(points: int) -> None:
+    if points > DEFAULT_ENUMERATION_LIMIT:
         raise ResourceLimitError(
-            f"enumeration would scan {points} box points, over the budget of {limit}")
+            f"enumeration would scan {points} box points, over the budget of "
+            f"{DEFAULT_ENUMERATION_LIMIT}")
 
 
-def count_simplex(s: Simplex, t: int, *, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
+def count_simplex(s: Simplex, t: int) -> int:
     """|t*s ∩ Z^d| by bounding-box enumeration with exact membership."""
     _check_dilation(t)
-    _check_budget(box_points(s, t), limit)
+    _check_budget(box_points(s, t))
     return sum(1 for _ in _scan(s, t, strict=False))
 
 
-def count_relative_interior(s: Simplex, t: int, *,
-                            limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
+def count_relative_interior(s: Simplex, t: int) -> int:
     """Lattice points in the relative interior of t*s (all barycentric
     coordinates strictly positive; a point simplex is its own interior)."""
     _check_dilation(t)
-    _check_budget(box_points(s, t), limit)
+    _check_budget(box_points(s, t))
     return sum(1 for _ in _scan(s, t, strict=True))
 
 
@@ -104,46 +106,35 @@ def enumeration_estimate(c: SimplicialComplex, t: int) -> int:
     return sum(box_points(c.simplex(f), t) for f in c.maximal_faces)
 
 
-def count_complex(c: SimplicialComplex, t: int, *,
-                  limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
+def count_complex(c: SimplicialComplex, t: int) -> int:
     """|t*|c| ∩ Z^d| for a valid complex: the union over maximal faces of
     per-face bounding-box enumerations, deduplicated exactly."""
     _check_dilation(t)
     if not c.faces:
         return 0
-    _check_budget(enumeration_estimate(c, t), limit)
+    _check_budget(enumeration_estimate(c, t))
     points: set[tuple[int, ...]] = set()
     for face in c.maximal_faces:
         points.update(_scan(c.simplex(face), t, strict=False))
     return len(points)
 
 
-def count_complex_additive(c: SimplicialComplex, t: int, *,
-                           interiors: str = "auto",
-                           limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
+def count_complex_additive(c: SimplicialComplex, t: int) -> int:
     """Same count as count_complex, via the disjoint partition of the union
     into relative interiors of faces.
 
-    interiors: "enumerate" counts each interior directly, "ehrhart"
-    evaluates (-1)^m L_F(-t), "auto" picks per face (ehrhart once t exceeds
-    the interpolation-verification range 2m+2).
+    The interior of t*F counts as (-1)^m L_F(-t) for the verified counting
+    polynomial L_F of each m-face F (Ehrhart-Macdonald reciprocity), so the
+    cost does not grow with t.
     """
     _check_dilation(t)
-    if interiors not in ("auto", "enumerate", "ehrhart"):
-        raise InputError(f"unknown interiors mode {interiors!r}")
     from .ehrhart import ehrhart_polynomial
     total = 0
     for face in sorted(map(tuple, map(sorted, c.faces))):
         s = c.simplex(face)
-        m = s.intrinsic_dim
-        use_ehrhart = interiors == "ehrhart" or (interiors == "auto" and t > 2 * m + 2)
-        if use_ehrhart:
-            poly = ehrhart_polynomial(s, limit=limit)
-            value = (-1) ** m * poly.evaluate(-t)
-            if value.denominator != 1 or value < 0:
-                raise IntegrityError(
-                    f"interior evaluation produced a non-count {value} for face {face}")
-            total += int(value)
-        else:
-            total += count_relative_interior(s, t, limit=limit)
+        value = (-1) ** s.intrinsic_dim * ehrhart_polynomial(s).evaluate(-t)
+        if value.denominator != 1 or value < 0:
+            raise IntegrityError(
+                f"interior evaluation produced a non-count {value} for face {face}")
+        total += int(value)
     return total

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .counting import DEFAULT_ENUMERATION_LIMIT, box_points, count_simplex
+from .counting import box_points, count_simplex
 from .errors import InputError, IntegrityError, is_int
-from .geometry import LatticePoint, Simplex
+from .geometry import CACHE_SIZE, LatticePoint, Simplex
 from .numtheory import binomial, floor_log, is_prime
 
-LEMMA_ENUMERATION_BUDGET = 50_000
+SUBCHECK_ENUMERATION_BUDGET = 512
 
 
 @dataclass(frozen=True)
@@ -88,32 +89,26 @@ def interpolate_counts(values) -> EhrhartPolynomial:
     return EhrhartPolynomial(tuple(coeffs))
 
 
-_CACHE: dict[tuple[LatticePoint, ...], EhrhartPolynomial] = {}
-
-
-def ehrhart_polynomial(s: Simplex, *, limit: int = DEFAULT_ENUMERATION_LIMIT) -> EhrhartPolynomial:
+@lru_cache(maxsize=CACHE_SIZE)
+def ehrhart_polynomial(s: Simplex) -> EhrhartPolynomial:
     """The counting polynomial of s: interpolated through enumerated counts
     at t = 0..m and verified against enumeration at t = m+1..2m+2.
 
-    Results are memoized per vertex tuple; the verification makes each
-    cached polynomial its own cross-check.
+    Results are kept in an LRU cache of CACHE_SIZE simplices; the
+    verification makes each cached polynomial its own cross-check.
     """
-    cached = _CACHE.get(s.vertices)
-    if cached is not None:
-        return cached
     m = s.intrinsic_dim
-    values = [1] + [count_simplex(s, t, limit=limit) for t in range(1, m + 1)]
+    values = [1] + [count_simplex(s, t) for t in range(1, m + 1)]
     poly = interpolate_counts(values)
     if poly.degree != m:
         raise IntegrityError(
             f"interpolated degree {poly.degree} != intrinsic dimension {m} for {s.vertices}")
     for t in range(m + 1, 2 * m + 3):
-        expect = count_simplex(s, t, limit=limit)
+        expect = count_simplex(s, t)
         got = poly.evaluate(t)
         if got != expect:
             raise IntegrityError(
                 f"polynomial check failed at t={t}: {got} != {expect} for {s.vertices}")
-    _CACHE[s.vertices] = poly
     return poly
 
 
@@ -184,14 +179,13 @@ class SimplexCongruenceReport:
                 "method": self.method, "passed": self.passed}
 
 
-def verify_simplex_congruence(s: Simplex, p: int, k: int, *,
-                              enumeration_budget: int = LEMMA_ENUMERATION_BUDGET,
-                              limit: int = DEFAULT_ENUMERATION_LIMIT) -> SimplexCongruenceReport:
+def verify_simplex_congruence(s: Simplex, p: int, k: int) -> SimplexCongruenceReport:
     """Check |p^k * s ∩ Z^d| ≡ 1 (mod p^(k-l)) with l = floor(log_p m) in
     the intrinsic dimension m of s (l = 0 for points).
 
-    The count comes from enumeration when the dilated bounding box fits the
-    budget and from the verified counting polynomial otherwise.
+    The count comes from enumeration when the dilated bounding box has at
+    most SUBCHECK_ENUMERATION_BUDGET points and from the verified counting
+    polynomial otherwise.
     """
     if not is_prime(p):
         raise InputError(f"p must be prime, got {p!r}")
@@ -202,11 +196,11 @@ def verify_simplex_congruence(s: Simplex, p: int, k: int, *,
     if k <= l:
         raise InputError(f"k must exceed floor(log_{p}({m})) = {l}, got {k}")
     t = p ** k
-    if box_points(s, t) <= enumeration_budget:
-        count = count_simplex(s, t, limit=limit)
+    if box_points(s, t) <= SUBCHECK_ENUMERATION_BUDGET:
+        count = count_simplex(s, t)
         method = "enumeration"
     else:
-        value = ehrhart_polynomial(s, limit=limit).evaluate(t)
+        value = ehrhart_polynomial(s).evaluate(t)
         if value.denominator != 1:
             raise IntegrityError(f"non-integer count {value} at t={t}")
         count = int(value)

@@ -19,7 +19,8 @@ class ValidationError(SimplatError):
 
 
 class ResourceLimitError(SimplatError):
-    """An enumeration would exceed the configured point budget."""
+    """An enumeration would scan more box points than the library's fixed
+    envelope (counting.DEFAULT_ENUMERATION_LIMIT)."""
 
 
 class IntegrityError(SimplatError):

@@ -57,7 +57,12 @@ def as_rational_point(value: object, dim: int | None = None) -> RationalPoint:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# Entries kept by each per-simplex cache (certificates here, counting
+# polynomials in ehrhart); least recently used ones are dropped beyond it.
+CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _certificate(vertices: tuple[LatticePoint, ...]):
     """Row-reduce the affine system of a vertex tuple into integer rows.
 

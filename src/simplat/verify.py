@@ -8,15 +8,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import SimplicialComplex, euler_characteristic, generate_complex
-from .counting import (DEFAULT_ENUMERATION_LIMIT, count_complex,
-                       count_complex_additive, enumeration_estimate)
+from .counting import count_complex, count_complex_additive, enumeration_estimate
 from .documents import complex_to_document
 from .ehrhart import SimplexCongruenceReport, verify_simplex_congruence
 from .errors import InputError, is_int
 from .numtheory import DilationPlan, dilation_plan
 
 VERIFY_ENUMERATION_BUDGET = 20_000
-SUBCHECK_ENUMERATION_BUDGET = 512
 FUZZ_KEEP_CYCLE = (Fraction(1), Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
 
 
@@ -53,34 +51,32 @@ class VerificationReport:
                 "subchecks": [r.as_dict() for r in self.subchecks]}
 
 
-def run_verify(c: SimplicialComplex, n: int, *, input_id: str = "complex",
-               enumeration_budget: int = VERIFY_ENUMERATION_BUDGET,
-               limit: int = DEFAULT_ENUMERATION_LIMIT) -> VerificationReport:
+def run_verify(c: SimplicialComplex, n: int, *,
+               input_id: str = "complex") -> VerificationReport:
     """Count lattice points of the complex dilated by the planned factor and
     compare the residue with the Euler characteristic mod n; also run the
     prime-power congruence sub-check on every maximal simplex.
 
-    Enumeration is used while the total box estimate fits the budget;
-    beyond it the additive counter takes over (interior counts by verified
-    polynomial evaluation), which is exact at any dilation.
+    Enumeration is used while the total box estimate is at most
+    VERIFY_ENUMERATION_BUDGET; beyond it the additive counter takes over
+    (interior counts by verified polynomial evaluation), which is exact at
+    any dilation.
     """
     plan = dilation_plan(c.ambient_dim, n)
     t = plan.dilation
     euler = euler_characteristic(c)
     if not c.faces:
         count, method = 0, "enumeration"
-    elif enumeration_estimate(c, t) <= enumeration_budget:
-        count, method = count_complex(c, t, limit=limit), "enumeration"
+    elif enumeration_estimate(c, t) <= VERIFY_ENUMERATION_BUDGET:
+        count, method = count_complex(c, t), "enumeration"
     else:
-        count = count_complex_additive(c, t, interiors="ehrhart", limit=limit)
-        method = "additive"
+        count, method = count_complex_additive(c, t), "additive"
     subchecks = []
     for face in c.maximal_faces:
         s = c.simplex(face)
         for term in plan.terms:
             subchecks.append(verify_simplex_congruence(
-                s, term.prime, term.dilation_exponent,
-                enumeration_budget=SUBCHECK_ENUMERATION_BUDGET, limit=limit))
+                s, term.prime, term.dilation_exponent))
     count_residue = count % n
     euler_residue = euler % n
     return VerificationReport(
@@ -134,9 +130,7 @@ def _trial_seed(seed: int, trial: int) -> int:
     return (seed * 6364136223846793005 + (trial + 1) * 1442695040888963407) % (2 ** 63)
 
 
-def run_fuzz(dim: int, grid: int, n: int, trials: int, seed: int, *,
-             enumeration_budget: int = VERIFY_ENUMERATION_BUDGET,
-             limit: int = DEFAULT_ENUMERATION_LIMIT) -> FuzzSummary:
+def run_fuzz(dim: int, grid: int, n: int, trials: int, seed: int) -> FuzzSummary:
     """Generate `trials` complexes and run the full verification on each.
 
     Trial i uses keep fraction FUZZ_KEEP_CYCLE[i % 4] and the sub-seed
@@ -153,8 +147,7 @@ def run_fuzz(dim: int, grid: int, n: int, trials: int, seed: int, *,
         keep = FUZZ_KEEP_CYCLE[trial % len(FUZZ_KEEP_CYCLE)]
         sub_seed = _trial_seed(seed, trial)
         complex_ = generate_complex(dim, grid, keep, sub_seed)
-        report = run_verify(complex_, n, input_id=f"trial-{trial}",
-                            enumeration_budget=enumeration_budget, limit=limit)
+        report = run_verify(complex_, n, input_id=f"trial-{trial}")
         if report.all_passed:
             passes += 1
         else:
@@ -198,8 +191,7 @@ class ProbeReport:
 
 
 def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
-                    input_id: str = "complex",
-                    limit: int = DEFAULT_ENUMERATION_LIMIT) -> ProbeReport:
+                    input_id: str = "complex") -> ProbeReport:
     """Count at every dilation 1..t_max and flag which satisfy the
     congruence; exploratory, since the planned dilation is sufficient but
     not always minimal."""
@@ -210,7 +202,7 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
     euler_residue = euler % n
     rows = []
     for t in range(1, t_max + 1):
-        count = count_complex(c, t, limit=limit)
+        count = count_complex(c, t)
         rows.append(ProbeRow(dilation=t, count=count,
                              count_residue=count % n,
                              congruent=count % n == euler_residue))

@@ -65,15 +65,16 @@ class TestCountSimplex:
                 count_simplex(UNIT_TRIANGLE, bad)
 
     def test_budget_exceeded(self):
+        # 10001^2 box points, over the 10^7 envelope
         with pytest.raises(ResourceLimitError):
-            count_simplex(UNIT_TRIANGLE, 1000, limit=100)
+            count_simplex(UNIT_TRIANGLE, 10_000)
 
     def test_budget_measures_box_not_result(self):
-        # thin skew simplex: small count, big box
-        seg = Simplex(((0, 0), (30, 31)))
+        # primitive segments (gcd of the edge is 1) hold just their two
+        # endpoints; this one's box has 4001 * 4002 = 16,012,002 points
         with pytest.raises(ResourceLimitError):
-            count_simplex(seg, 1, limit=500)
-        assert count_simplex(seg, 1, limit=2000) == 2
+            count_simplex(Simplex(((0, 0), (4000, 4001))), 1)
+        assert count_simplex(Simplex(((0, 0), (30, 31))), 1) == 2
 
 
 class TestInterior:
@@ -177,7 +178,7 @@ class TestCountComplex:
     def test_budget_exceeded(self):
         c = from_doc(UNIT_SQUARE_DOC)
         with pytest.raises(ResourceLimitError):
-            count_complex(c, 100, limit=50)
+            count_complex(c, 10_000)
 
 
 class TestAdditiveCount:
@@ -190,9 +191,7 @@ class TestAdditiveCount:
     def test_interior_modes_agree(self):
         c = from_doc(L_SHAPE_DOC)
         for t in (2, 5, 9):
-            direct = count_complex(c, t)
-            assert count_complex_additive(c, t, interiors="enumerate") == direct
-            assert count_complex_additive(c, t, interiors="ehrhart") == direct
+            assert count_complex_additive(c, t) == count_complex(c, t) == l_shape_count(t)
 
     def test_random_complexes_agree(self):
         rng = random.Random(2026)
@@ -202,8 +201,3 @@ class TestAdditiveCount:
                                  keep, seed=trial)
             t = rng.randint(1, 4)
             assert count_complex_additive(c, t) == count_complex(c, t)
-
-    def test_rejects_unknown_mode(self):
-        c = from_doc(UNIT_SQUARE_DOC)
-        with pytest.raises(InputError):
-            count_complex_additive(c, 2, interiors="guess")

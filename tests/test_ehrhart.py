@@ -11,6 +11,7 @@ from simplat import (EhrhartPolynomial, Simplex, count_relative_interior,
                      count_simplex, ehrhart_polynomial, hstar_vector,
                      interpolate_counts, verify_simplex_congruence)
 from simplat.errors import InputError, IntegrityError
+from simplat.geometry import _certificate
 
 from helpers import normalized_volume, random_simplex
 
@@ -74,6 +75,14 @@ class TestPolynomial:
     def test_repeat_calls_hit_cache(self):
         assert ehrhart_polynomial(UNIT_TRIANGLE) is ehrhart_polynomial(
             Simplex(((0, 0), (1, 0), (0, 1))))
+
+    def test_caches_are_bounded(self):
+        # 4097 distinct simplices, one more than either cache may hold
+        for i in range(4097):
+            s = Simplex(((10**6 + i, -i),))
+            assert ehrhart_polynomial(s).coefficients == (1,)
+        assert _certificate.cache_info().currsize <= 4096
+        assert ehrhart_polynomial.cache_info().currsize <= 4096
 
     def test_as_dict_stringifies_fractions(self):
         d = ehrhart_polynomial(UNIT_TRIANGLE).as_dict()
@@ -171,12 +180,15 @@ class TestSimplexCongruence:
         assert (r.count, r.residue, r.passed) == (417, 1, True)
 
     def test_methods_agree(self):
-        fast = verify_simplex_congruence(REEVE_4, 2, 3)
-        slow = verify_simplex_congruence(REEVE_4, 2, 3, enumeration_budget=1)
-        assert fast.method == "enumeration"
-        assert slow.method == "ehrhart"
-        assert fast.count == slow.count
-        assert fast.passed and slow.passed
+        # 5^2 = 25 box points at t = 4 fit the sub-check budget; REEVE_4's
+        # 9 * 9 * 33 = 2673 at t = 8 do not
+        small = verify_simplex_congruence(UNIT_TRIANGLE, 2, 2)
+        large = verify_simplex_congruence(REEVE_4, 2, 3)
+        assert small.method == "enumeration"
+        assert large.method == "ehrhart"
+        assert small.count == ehrhart_polynomial(UNIT_TRIANGLE).evaluate(4)
+        assert large.count == count_simplex(REEVE_4, 8)
+        assert small.passed and large.passed
 
     def test_point_simplex(self):
         r = verify_simplex_congruence(Simplex(((3, 1),)), 5, 1)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplat import (close_under_faces, generate_complex, probe_dilations,
                      run_fuzz, run_verify)
 from simplat.documents import load_complex
 from simplat.errors import InputError
-from simplat.verify import VERIFY_ENUMERATION_BUDGET
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
                      l_shape_count)
@@ -63,11 +66,40 @@ class TestRunVerify:
 
     def test_methods_agree_when_forced(self):
         c = load_complex(L_SHAPE_DOC)
-        fast = run_verify(c, 4, enumeration_budget=1)
-        slow = run_verify(c, 4, enumeration_budget=VERIFY_ENUMERATION_BUDGET)
-        assert fast.method == "additive"
-        assert slow.method == "enumeration"
-        assert fast.count == slow.count
+        small = run_verify(c, 4)
+        large = run_verify(c, 60)
+        assert (small.dilation, small.method) == (8, "enumeration")
+        assert (large.dilation, large.method) == (120, "additive")
+        assert small.count == l_shape_count(8)
+        assert large.count == l_shape_count(120)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_unimodular_map_and_translation_change_nothing(self, data):
+        dim = data.draw(st.integers(2, 3))
+        c = generate_complex(dim, data.draw(st.integers(1, 2)),
+                             data.draw(st.sampled_from((1, Fraction(1, 2)))),
+                             data.draw(st.integers(0, 2**16)))
+        # a unit lower-triangular matrix with entries in {-1, 0, 1}, its rows
+        # permuted and signed, is in GL_d(Z)
+        unit = st.sampled_from((-1, 0, 1))
+        lower = [[1 if j == i else data.draw(unit) if j < i else 0
+                  for j in range(dim)] for i in range(dim)]
+        order = data.draw(st.permutations(range(dim)))
+        signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=dim, max_size=dim))
+        shift = data.draw(st.lists(st.integers(-50, 50), min_size=dim, max_size=dim))
+        matrix = [[signs[i] * x for x in lower[order[i]]] for i in range(dim)]
+        moved = close_under_faces(
+            c.maximal_faces,
+            [tuple(sum(a * x for a, x in zip(row, v)) + b
+                   for row, b in zip(matrix, shift)) for v in c.vertices],
+            ambient_dim=dim)
+        for n in (2, 3, 4, 6):
+            before, after = run_verify(c, n), run_verify(moved, n)
+            assert ((after.count, after.euler, after.verdict)
+                    == (before.count, before.euler, before.verdict))
+            assert ([r.count for r in after.subchecks]
+                    == [r.count for r in before.subchecks])
 
     def test_improper_complex_can_fail(self):
         # segments [0,2] and [1,3] overlap but share no face, so the
