@@ -6,8 +6,9 @@ DEFAULT_ENUMERATION_LIMIT box points raises ResourceLimitError instead of
 running slowly.
 The additive counter sums relative-interior counts over all faces, which is
 the designated fast path for large dilations: each interior count is
-(-1)^m L(-t) of the face's verified counting polynomial L, by
-Ehrhart-Macdonald reciprocity.
+(-1)^m L(-t) of the face's counting polynomial L, by Ehrhart-Macdonald
+reciprocity, and L is built once per lattice class from its h*-vector
+(ehrhart.ehrhart_polynomial), at a cost that follows the normalized volume.
 """
 
 from __future__ import annotations
@@ -123,9 +124,10 @@ def count_complex_additive(c: SimplicialComplex, t: int) -> int:
     """Same count as count_complex, via the disjoint partition of the union
     into relative interiors of faces.
 
-    The interior of t*F counts as (-1)^m L_F(-t) for the verified counting
+    The interior of t*F counts as (-1)^m L_F(-t) for the counting
     polynomial L_F of each m-face F (Ehrhart-Macdonald reciprocity), so the
-    cost does not grow with t.
+    cost does not grow with t; L_F comes from the h*-vector of the face's
+    lattice class, computed once per class.
     """
     _check_dilation(t)
     from .ehrhart import ehrhart_polynomial

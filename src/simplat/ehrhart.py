@@ -2,9 +2,12 @@
 basis, and the prime-power dilation congruence check for a single simplex.
 
 The lattice-point count of t*s is a degree-m polynomial in t (m = intrinsic
-dimension); it is recovered here by exact Lagrange interpolation through
-t = 0..m and then verified against brute-force counts at t = m+1..2m+2, so
-every polynomial handed out has survived an independent cross-check.
+dimension) that depends only on the lattice class of s.  It is built once
+per class from the class's h*-vector, read off the lattice points of the
+fundamental parallelepiped of the cone over the simplex (Beck & Robins,
+Computing the Continuous Discretely, ch. 3), at a cost that follows the
+normalized volume, not the bounding box.  Enumeration stays the
+independent check: the per-simplex congruence enumerates small boxes.
 """
 
 from __future__ import annotations
@@ -12,10 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import lcm, prod
 
-from .counting import box_points, count_simplex
-from .errors import InputError, IntegrityError, is_int
-from .geometry import CACHE_SIZE, LatticePoint, Simplex
+from .counting import DEFAULT_ENUMERATION_LIMIT, box_points, count_simplex
+from .errors import InputError, IntegrityError, ResourceLimitError, is_int
+from .geometry import (CACHE_SIZE, LatticePoint, Simplex, _certificate,
+                       hermite_normal_form, lattice_class)
 from .numtheory import binomial, floor_log, is_prime
 
 SUBCHECK_ENUMERATION_BUDGET = 512
@@ -90,26 +96,58 @@ def interpolate_counts(values) -> EhrhartPolynomial:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def ehrhart_polynomial(s: Simplex) -> EhrhartPolynomial:
-    """The counting polynomial of s: interpolated through enumerated counts
-    at t = 0..m and verified against enumeration at t = m+1..2m+2.
+def _class_polynomial(key: tuple[LatticePoint, ...]) -> EhrhartPolynomial:
+    """The counting polynomial shared by every simplex of lattice class key,
+    from the h*-vector of the canonical simplex conv(0, key) in Z^m.
 
-    Results are kept in an LRU cache of CACHE_SIZE simplices; the
-    verification makes each cached polynomial its own cross-check.
+    The lattice points of the fundamental parallelepiped of the cone over
+    the simplex stand for the group Z^(m+1) / W Z^(m+1), W having columns
+    (w, 1) for the vertices w; coset representatives 0 <= x_i < diag_i come
+    from the Hermite normal form of W^T.  A representative x = (x', h) has
+    cone coordinates mu_j = (h c0_j + a_j . x') / D_j, read from the
+    simplex's barycentric rows, and its parallelepiped point sits at height
+    sum frac(mu_j), which is the entry of h* it adds to.  Then
+    L(t) = sum h_k C(t+m-k, m).
     """
-    m = s.intrinsic_dim
-    values = [1] + [count_simplex(s, t) for t in range(1, m + 1)]
-    poly = interpolate_counts(values)
+    m = len(key)
+    volume = prod(key[j][j] for j in range(m))
+    if volume > DEFAULT_ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"normalized volume {volume} of lattice class {key} is over the "
+            f"budget of {DEFAULT_ENUMERATION_LIMIT}")
+    canonical = ((0,) * m,) + key
+    bary, _, denoms, _ = _certificate(canonical)
+    common = lcm(*denoms)
+    # mu_j * common = forms[j] . x, with x = (x', h)
+    forms = [tuple(c * (common // dj) for c in cs + (c0,))
+             for (c0, cs), dj in zip(bary, denoms)]
+    cone = hermite_normal_form([w + (1,) for w in canonical])
+    hstar = [0] * (m + 1)
+    for x in product(*(range(row[i]) for i, row in enumerate(cone))):
+        hstar[sum(sum(a * xi for a, xi in zip(f, x)) % common
+                  for f in forms) // common] += 1
+    if hstar[0] != 1 or sum(hstar) != volume:
+        raise IntegrityError(
+            f"h* = {hstar} of lattice class {key} needs h*_0 = 1 and sum {volume}")
+    poly = interpolate_counts(
+        [sum(h * binomial(t + m - k, m) for k, h in enumerate(hstar))
+         for t in range(m + 1)])
     if poly.degree != m:
         raise IntegrityError(
-            f"interpolated degree {poly.degree} != intrinsic dimension {m} for {s.vertices}")
-    for t in range(m + 1, 2 * m + 3):
-        expect = count_simplex(s, t)
-        got = poly.evaluate(t)
-        if got != expect:
-            raise IntegrityError(
-                f"polynomial check failed at t={t}: {got} != {expect} for {s.vertices}")
+            f"degree {poly.degree} != intrinsic dimension {m} for lattice class {key}")
     return poly
+
+
+def ehrhart_polynomial(s: Simplex) -> EhrhartPolynomial:
+    """The counting polynomial t -> |t*s ∩ Z^d| of s.
+
+    It is built from the h*-vector of the lattice class of s
+    (geometry.lattice_class) and kept in an LRU cache of CACHE_SIZE classes,
+    so every translated or unimodularly mapped copy of s shares it.  Raises
+    ResourceLimitError when the normalized volume of s is over
+    DEFAULT_ENUMERATION_LIMIT.
+    """
+    return _class_polynomial(lattice_class(s))
 
 
 @dataclass(frozen=True)
@@ -184,7 +222,7 @@ def verify_simplex_congruence(s: Simplex, p: int, k: int) -> SimplexCongruenceRe
     the intrinsic dimension m of s (l = 0 for points).
 
     The count comes from enumeration when the dilated bounding box has at
-    most SUBCHECK_ENUMERATION_BUDGET points and from the verified counting
+    most SUBCHECK_ENUMERATION_BUDGET points and from the counting
     polynomial otherwise.
     """
     if not is_prime(p):

@@ -57,8 +57,45 @@ def as_rational_point(value: object, dim: int | None = None) -> RationalPoint:
     return tuple(out)
 
 
+def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
+    """Top block of the row Hermite normal form of an integer matrix with n
+    columns and full column rank: the n x n upper-triangular H with positive
+    pivots, every entry above a pivot in [0, pivot), and U * rows = [H; 0]
+    for some U in GL(Z).
+
+    Only elementary row operations are used (swap, negate, add an integer
+    multiple of one row to another), so U is unimodular by construction,
+    and H is the same for rows and for U' * rows with any U' in GL(Z).
+    """
+    a = [list(r) for r in rows]
+    n = len(a[0]) if a else 0
+    for j in range(n):
+        while True:  # Euclid on column j over rows j.., ending with one nonzero
+            nonzero = [r for r in range(j, len(a)) if a[r][j]]
+            if not nonzero:
+                raise InputError("matrix does not have full column rank")
+            r = min(nonzero, key=lambda r: abs(a[r][j]))
+            a[j], a[r] = a[r], a[j]
+            if len(nonzero) == 1:
+                break
+            piv = a[j]
+            for r in range(j + 1, len(a)):
+                q = a[r][j] // piv[j]
+                if q:
+                    a[r] = [x - q * y for x, y in zip(a[r], piv)]
+        if a[j][j] < 0:
+            a[j] = [-x for x in a[j]]
+        piv = a[j]
+        for r in range(j):
+            q = a[r][j] // piv[j]
+            if q:
+                a[r] = [x - q * y for x, y in zip(a[r], piv)]
+    return tuple(tuple(r) for r in a[:n])
+
+
 # Entries kept by each per-simplex cache (certificates here, counting
-# polynomials in ehrhart); least recently used ones are dropped beyond it.
+# polynomials per lattice class in ehrhart); least recently used ones are
+# dropped beyond it.
 CACHE_SIZE = 4096
 
 
@@ -66,8 +103,8 @@ CACHE_SIZE = 4096
 def _certificate(vertices: tuple[LatticePoint, ...]):
     """Row-reduce the affine system of a vertex tuple into integer rows.
 
-    Returns (bary_rows, hull_rows, bary_denoms); each row is (c0, coeffs)
-    such that for a point x
+    Returns (bary_rows, hull_rows, bary_denoms, lattice_class); each row is
+    (c0, coeffs) such that for a point x
 
         lambda_j       = (c0 + coeffs . x) / bary_denoms[j]  for bary_rows[j]
         x in aff hull  iff  c0 + coeffs . x == 0 for every hull row
@@ -75,6 +112,8 @@ def _certificate(vertices: tuple[LatticePoint, ...]):
     or None when the vertices are affinely dependent.  Works by reducing
     [A | I] where A maps barycentric weights to (1, x) over Fraction, then
     clears each row's denominators (a positive factor keeps every sign).
+    The lattice class (see lattice_class) is kept here so that it is
+    computed once per vertex tuple.
     """
     k = len(vertices)
     d = len(vertices[0])
@@ -106,7 +145,10 @@ def _certificate(vertices: tuple[LatticePoint, ...]):
     ints = [[f.numerator * (m // f.denominator) for f in row[k:]]
             for row, m in zip(mat, denoms)]
     cert = tuple((r[0], tuple(r[1:])) for r in ints)
-    return cert[:k], cert[k:], tuple(denoms[:k])
+    v0 = vertices[0]
+    edges = [[v[i] - v0[i] for v in vertices[1:]] for i in range(d)]
+    key = tuple(zip(*hermite_normal_form(edges)))
+    return cert[:k], cert[k:], tuple(denoms[:k]), key
 
 
 @dataclass(frozen=True)
@@ -154,7 +196,7 @@ def barycentric_coordinates(s: Simplex, x) -> tuple[Fraction, ...] | None:
     """Exact barycentric coordinates of x with respect to s, or None when x
     lies outside the affine hull of s."""
     pt = as_rational_point(x, s.ambient_dim)
-    bary, hull, denoms = _certificate(s.vertices)
+    bary, hull, denoms, _ = _certificate(s.vertices)
     for c0, cs in hull:
         if c0 + sum(c * v for c, v in zip(cs, pt)):
             return None
@@ -187,8 +229,21 @@ def membership_certificate(s: Simplex):
     x lies in t*s iff x/t lies in s, and t*c0 + coeffs . x has the sign
     of c0 + coeffs . (x/t).
     """
-    bary, hull, _ = _certificate(s.vertices)
+    bary, hull, _, _ = _certificate(s.vertices)
     return bary, hull
+
+
+def lattice_class(s: Simplex) -> tuple[LatticePoint, ...]:
+    """The columns h_1..h_m of the row Hermite normal form of the edge
+    matrix [v_i - v_0] of s.
+
+    The affine lattice isomorphism x -> U(x - v_0) of Z^d that brings the
+    edge matrix to that form maps s onto conv(0, h_1, ..., h_m) in
+    Z^m x {0}.  So simplices that differ by a lattice translation and a
+    unimodular map share a class, and every lattice-point count of a
+    dilation t*s depends on the class alone.
+    """
+    return _certificate(s.vertices)[3]
 
 
 def _common_face_lp(a: Simplex, b: Simplex, shared: set[LatticePoint]) -> bool:

@@ -26,6 +26,17 @@ def l_shape_file(tmp_path):
     return str(path)
 
 
+def segment_file(tmp_path, end):
+    """A document whose one maximal simplex is the segment from 0 to end."""
+    path = tmp_path / "segment.json"
+    path.write_text(json.dumps({
+        "ambient_dim": 2,
+        "vertices": [[0, 0], list(end)],
+        "maximal_simplices": [[0, 1]],
+    }))
+    return str(path)
+
+
 def run(capsys, *argv):
     try:
         code = cli.main(list(argv))
@@ -52,6 +63,13 @@ class TestCount:
         payload = json.loads(out)
         assert payload["count"] == 5001**2
         assert payload["method"] == "additive"
+
+    def test_primitive_segment_with_a_wide_box(self, capsys, tmp_path):
+        # 1000001 * 2 box points, but only the two endpoints are lattice points
+        code, out, _ = run(capsys, "count", segment_file(tmp_path, (10**6, 1)),
+                           "--dilate", "1")
+        assert code == 0
+        assert json.loads(out)["count"] == 2
 
     def test_dilate_flag_required(self, capsys, square_file):
         code, _, err = run(capsys, "count", square_file)
@@ -96,14 +114,16 @@ class TestEhrhart:
         assert code == 2
         assert "simplex" in err
 
+    def test_primitive_segment(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "ehrhart", segment_file(tmp_path, (30000000, 1)),
+                           "--simplex", "0")
+        assert code == 0
+        assert json.loads(out)["coefficients"] == ["1", "1"]
+
     def test_resource_limit(self, capsys, tmp_path):
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps({
-            "ambient_dim": 2,
-            "vertices": [[0, 0], [30000000, 1]],
-            "maximal_simplices": [[0, 1]],
-        }))
-        code, _, err = run(capsys, "ehrhart", str(path), "--simplex", "0")
+        # 30000001 lattice points on the segment, over the 10^7 budget
+        code, _, err = run(capsys, "ehrhart", segment_file(tmp_path, (30000000, 0)),
+                           "--simplex", "0")
         assert code == 3
         assert err.strip()
 

@@ -6,12 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from simplat import (EhrhartPolynomial, Simplex, count_relative_interior,
                      count_simplex, ehrhart_polynomial, hstar_vector,
                      interpolate_counts, verify_simplex_congruence)
-from simplat.errors import InputError, IntegrityError
-from simplat.geometry import _certificate
+from simplat.ehrhart import _class_polynomial
+from simplat.errors import InputError, IntegrityError, ValidationError
+from simplat.geometry import _certificate, lattice_class
 
 from helpers import normalized_volume, random_simplex
 
@@ -20,6 +23,27 @@ UNIT_TRIANGLE = Simplex(((0, 0), (1, 0), (0, 1)))
 BIG_TRIANGLE = Simplex(((0, 0), (2, 0), (0, 2)))
 # conv{0, e1, e2, (1,1,4)}: volume 4/6, counts 4, 13, 32, 65 at t=1..4
 REEVE_4 = Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 4)))
+# Largest coordinate spread per ambient dimension 1..4 that keeps the box of
+# 3*s small enough for the enumeration oracle
+SPREAD = (2000, 40, 6, 2)
+NEAR_ORIGIN_OR_MILLION = st.one_of(st.just(0), st.integers(-10**6 - 9, -10**6 + 9),
+                                   st.integers(10**6 - 9, 10**6 + 9))
+
+
+@st.composite
+def lattice_simplices(draw):
+    """Simplices of every intrinsic dimension 0..d in ambient dimension 1..4,
+    in a box of spread SPREAD[d-1] moved near 0 or near +-10^6."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(0, d))
+    coordinate = st.integers(0, SPREAD[d - 1])
+    points = draw(st.lists(st.tuples(*[coordinate] * d),
+                           min_size=m + 1, max_size=m + 1, unique=True))
+    shift = draw(st.tuples(*[NEAR_ORIGIN_OR_MILLION] * d))
+    try:
+        return Simplex(tuple(tuple(a + b for a, b in zip(p, shift)) for p in points))
+    except ValidationError:
+        assume(False)
 
 
 class TestPolynomial:
@@ -77,12 +101,50 @@ class TestPolynomial:
             Simplex(((0, 0), (1, 0), (0, 1))))
 
     def test_caches_are_bounded(self):
-        # 4097 distinct simplices, one more than either cache may hold
-        for i in range(4097):
-            s = Simplex(((10**6 + i, -i),))
-            assert ehrhart_polynomial(s).coefficients == (1,)
+        # conv(0, e1, e2, (a, b, c)) with 0 <= a, b < c is already in Hermite
+        # normal form: 4324 distinct lattice classes of volume c, more than
+        # either cache may hold
+        for c in range(1, 24):
+            for a in range(c):
+                for b in range(c):
+                    s = Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (a, b, c)))
+                    assert ehrhart_polynomial(s).coefficients[-1] == F(c, 6)
         assert _certificate.cache_info().currsize <= 4096
-        assert ehrhart_polynomial.cache_info().currsize <= 4096
+        assert _class_polynomial.cache_info().currsize <= 4096
+
+    @given(lattice_simplices())
+    @example(Simplex(((0, 0), (1, 2), (2, 1))))  # class box 3 x 4, own box 3 x 3
+    @example(Simplex(((0, 0, 5), (1, 2, 5), (2, 1, 5))))
+    @example(Simplex(((0, 0), (1, 0), (40, 1))))  # thin
+    @example(Simplex(((10**6, -10**6), (10**6 + 40, 1 - 10**6))))
+    @settings(max_examples=100, deadline=None)
+    def test_parallelepiped_matches_enumeration(self, s):
+        p = ehrhart_polynomial(s)
+        assert p.degree == s.intrinsic_dim
+        for t in (1, 2, 3):
+            assert p.evaluate(t) == count_simplex(s, t)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lattice_class_is_unimodular_invariant(self, data):
+        s = data.draw(lattice_simplices())
+        dim = s.ambient_dim
+        # a unit lower-triangular matrix with entries in {-1, 0, 1}, its rows
+        # permuted and signed, is in GL_d(Z)
+        unit = st.sampled_from((-1, 0, 1))
+        lower = [[1 if j == i else data.draw(unit) if j < i else 0
+                  for j in range(dim)] for i in range(dim)]
+        order = data.draw(st.permutations(range(dim)))
+        signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=dim, max_size=dim))
+        shift = data.draw(st.lists(st.integers(-50, 50), min_size=dim, max_size=dim))
+        matrix = [[signs[i] * x for x in lower[order[i]]] for i in range(dim)]
+        moved = Simplex(tuple(
+            tuple(sum(a * x for a, x in zip(row, v)) + b for row, b in zip(matrix, shift))
+            for v in s.vertices))
+        key = lattice_class(s)
+        assert lattice_class(moved) == key
+        if key:  # the canonical simplex conv(0, key) is its own class
+            assert lattice_class(Simplex(((0,) * len(key),) + key)) == key
 
     def test_as_dict_stringifies_fractions(self):
         d = ehrhart_polynomial(UNIT_TRIANGLE).as_dict()
