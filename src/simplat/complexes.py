@@ -11,7 +11,7 @@ from functools import cached_property
 from itertools import combinations, permutations, product
 
 from .errors import InputError, ValidationError, is_int
-from .geometry import (LatticePoint, Simplex, as_lattice_point,
+from .geometry import (LatticePoint, Simplex, as_lattice_point, bounding_box,
                        intersection_is_common_face)
 
 
@@ -156,9 +156,26 @@ class ValidationReport:
         }
 
 
+def _overlapping_boxes(boxes) -> list[tuple[int, int]]:
+    """Index pairs i < j, in lexicographic order, of the (lo, hi) boxes that
+    meet, found by a sweep over the boxes sorted by their low corner."""
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
+    pairs = []
+    for k, i in enumerate(order):
+        lo1, hi1 = boxes[i]
+        for j in order[k + 1:]:
+            lo2, hi2 = boxes[j]
+            if lo2[0] > hi1[0]:
+                break  # every later box starts further along the first axis
+            if all(a <= d and c <= b for a, b, c, d in zip(lo1, hi1, lo2, hi2)):
+                pairs.append((i, j) if i < j else (j, i))
+    return sorted(pairs)
+
+
 def validate(c: SimplicialComplex) -> ValidationReport:
     """Check closure, affine independence, distinct vertex coordinates, and
-    pairwise intersection-in-a-common-face of maximal faces."""
+    pairwise intersection-in-a-common-face of maximal faces (tested only
+    for pairs whose bounding boxes meet; the others are disjoint)."""
     index_failures = []
     nverts = len(c.vertices)
     for face in sorted(map(tuple, map(sorted, c.faces))):
@@ -197,7 +214,8 @@ def validate(c: SimplicialComplex) -> ValidationReport:
 
     overlap_failures = []
     usable = [f for f in c.maximal_faces if f in simplices]
-    for fa, fb in combinations(usable, 2):
+    for i, j in _overlapping_boxes([bounding_box(simplices[f]) for f in usable]):
+        fa, fb = usable[i], usable[j]
         if not intersection_is_common_face(simplices[fa], simplices[fb]):
             overlap_failures.append((fa, fb))
 

@@ -2,8 +2,9 @@
 
 Vertices live in Z^d, membership questions are answered through barycentric
 coordinates computed by exact Gauss-Jordan elimination over Fraction, and
-pairwise intersection structure is decided by exact rational linear
-programming. No floating point anywhere.
+pairwise intersection structure is decided by an integer separating
+functional drawn from those same rows when one exists, and otherwise by exact
+rational linear programming. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -272,9 +273,46 @@ def _common_face_lp(a: Simplex, b: Simplex, shared: set[LatticePoint]) -> bool:
     return result[0] == 0
 
 
+def _separates(row, p, q, nshared: int) -> bool:
+    """Whether the integer functional f = c0 + cs . x of row is >= 0 on every
+    vertex in p and <= 0 on every vertex in q (or the reverse), and vanishes
+    on exactly nshared vertices of p or of q."""
+    c0, cs = row
+    fp = [c0 + sum(c * x for c, x in zip(cs, v)) for v in p]
+    fq = [c0 + sum(c * x for c, x in zip(cs, v)) for v in q]
+    if not (min(fp) >= 0 >= max(fq) or max(fp) <= 0 <= min(fq)):
+        return False
+    return fp.count(0) == nshared or fq.count(0) == nshared
+
+
+def _separating_rows(s: Simplex, shared: set[LatticePoint]):
+    """Candidate functionals from the barycentric rows of s: first the sum
+    of the rows of its non-shared vertices over a common denominator, then
+    every row on its own."""
+    bary, _, denoms, _ = _certificate(s.vertices)
+    free = [j for j, v in enumerate(s.vertices) if v not in shared]
+    if free:
+        m = lcm(*(denoms[j] for j in free))
+        scaled = [(m // denoms[j], bary[j]) for j in free]
+        yield (sum(k * c0 for k, (c0, _) in scaled),
+               tuple(sum(k * cs[i] for k, (_, cs) in scaled)
+                     for i in range(s.ambient_dim)))
+    yield from bary
+
+
 def intersection_is_common_face(s1: Simplex, s2: Simplex) -> bool:
     """Whether s1 ∩ s2 equals the convex hull of the shared vertex points
-    (the empty set counts as a common face)."""
+    (the empty set counts as a common face).
+
+    Most pairs are settled by an integer certificate: an affine functional
+    f that is >= 0 on the vertices of s1, <= 0 on those of s2, and vanishes
+    on no vertex of s1 (or of s2) beyond the shared ones.  Then s1 ∩ s2 lies
+    in conv(Z1) ∩ conv(Z2), Zi the zero set of f on si, and one of those is
+    the shared hull, which lies in s1 ∩ s2 anyway.  The candidates, each
+    with either sign, are the barycentric rows of either simplex and their
+    sum over its non-shared vertices.  A pair no candidate settles goes to
+    the exact LP.
+    """
     if s1.ambient_dim != s2.ambient_dim:
         raise InputError("simplices live in different ambient dimensions")
     lo1, hi1 = bounding_box(s1)
@@ -282,4 +320,9 @@ def intersection_is_common_face(s1: Simplex, s2: Simplex) -> bool:
     if any(hi1[i] < lo2[i] or hi2[i] < lo1[i] for i in range(s1.ambient_dim)):
         return True  # disjoint boxes: empty intersection, empty shared set
     shared = set(s1.vertices) & set(s2.vertices)
-    return _common_face_lp(s1, s2, shared) and _common_face_lp(s2, s1, shared)
+    if any(_separates(row, s1.vertices, s2.vertices, len(shared))
+           for s in (s1, s2) for row in _separating_rows(s, shared)):
+        return True
+    # With no shared vertex both LPs only ask whether s1 ∩ s2 is empty.
+    return _common_face_lp(s1, s2, shared) and (
+        not shared or _common_face_lp(s2, s1, shared))

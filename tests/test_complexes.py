@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from simplat import (SimplicialComplex, close_under_faces, euler_characteristic,
-                     generate_complex, summarize, validate)
+                     exactlp, generate_complex, geometry, summarize, validate)
 from simplat.errors import InputError, ValidationError
 
 from helpers import HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC
@@ -119,6 +120,45 @@ class TestValidate:
     def test_proper_gluing_has_no_overlap_failures(self):
         report = validate(from_doc(UNIT_SQUARE_DOC))
         assert report.overlap_failures == ()
+
+    @pytest.mark.parametrize("dim, grid", [(2, 6), (3, 3)])
+    def test_whole_grid_needs_lp_only_for_vertex_disjoint_pairs(self, dim, grid, monkeypatch):
+        solves, fallbacks = [], []
+        maximize, common_face_lp = exactlp.maximize, geometry._common_face_lp
+
+        def counted_maximize(*args):
+            solves.append(1)
+            return maximize(*args)
+
+        def recorded_lp(a, b, shared):
+            fallbacks.append(shared)
+            return common_face_lp(a, b, shared)
+
+        monkeypatch.setattr(exactlp, "maximize", counted_maximize)
+        monkeypatch.setattr(geometry, "_common_face_lp", recorded_lp)
+        assert validate(generate_complex(dim, grid, 1, seed=0)).passed
+        assert len(solves) == len(fallbacks)
+        assert all(not shared for shared in fallbacks)
+
+    @pytest.mark.parametrize("dim, grid, extra", [
+        (2, 3, ((1, 1), (2, 1), (1, 2))),  # across the diagonal of one cell
+        (3, 1, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1))),
+    ])
+    def test_extra_overlapping_simplex_is_reported(self, dim, grid, extra):
+        c = generate_complex(dim, grid, 1, seed=0)
+        face = tuple(sorted(c.vertices.index(v) for v in extra))
+        bad = close_under_faces(c.maximal_faces + (face,), c.vertices)
+        # LP-only oracle over every pair, in the order of combinations
+        expected = []
+        for fa, fb in combinations(bad.maximal_faces, 2):
+            a, b = bad.simplex(fa), bad.simplex(fb)
+            shared = set(a.vertices) & set(b.vertices)
+            if not (geometry._common_face_lp(a, b, shared)
+                    and geometry._common_face_lp(b, a, shared)):
+                expected.append((fa, fb))
+        failures = validate(bad).overlap_failures
+        assert failures == tuple(expected)
+        assert failures and all(face in pair for pair in failures)
 
 
 class TestGenerator:

@@ -6,14 +6,37 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from simplat import (Simplex, barycentric_coordinates, bounding_box,
                      contains_point, dilate, intersection_is_common_face)
 from simplat.errors import InputError, ValidationError
+from simplat.geometry import _common_face_lp
 
 from helpers import random_simplex, sympy_barycentric, sympy_contains, triangle_contains
 
 UNIT_TRIANGLE = Simplex(((0, 0), (1, 0), (0, 1)))
+
+
+@st.composite
+def simplex_pairs(draw):
+    """Two simplices of intrinsic dimension 0..d in ambient dimension 1..4
+    whose vertices come from one pool of d+1 to d+3 points in [-1, 1]^d, so
+    that shared faces, overlaps, touching and coplanar pairs are common."""
+    d = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d),
+                         min_size=d + 1, max_size=d + 3, unique=True))
+    pair = []
+    for _ in range(2):
+        m = draw(st.integers(0, d))
+        vertices = draw(st.lists(st.sampled_from(pool), min_size=m + 1,
+                                 max_size=m + 1, unique=True))
+        try:
+            pair.append(Simplex(tuple(vertices)))
+        except ValidationError:
+            assume(False)
+    return tuple(pair)
 
 
 class TestSimplexConstruction:
@@ -169,6 +192,20 @@ class TestCommonFace:
             a = random_simplex(rng, ambient, coord_max=2)
             b = random_simplex(rng, ambient, coord_max=2)
             assert intersection_is_common_face(a, b) == intersection_is_common_face(b, a)
+
+    @given(simplex_pairs())
+    @example((Simplex(((0, 0), (2, 0), (0, 2))), Simplex(((1, 0), (2, 0)))))
+    @example((Simplex(((0, 0), (2, 0), (0, 2))), Simplex(((0, 0), (2, 0), (1, 1)))))
+    @example((Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0))),
+              Simplex(((0, 0, 0), (1, 1, 0), (0, 0, 1)))))
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_agrees_with_lp(self, pair):
+        # the certificate may only settle pairs the LP alone decides the same
+        a, b = pair
+        shared = set(a.vertices) & set(b.vertices)
+        lp = _common_face_lp(a, b, shared) and _common_face_lp(b, a, shared)
+        assert intersection_is_common_face(a, b) == lp
+        assert intersection_is_common_face(b, a) == lp
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
