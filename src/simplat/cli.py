@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .counting import CountReport, count_complex, count_complex_additive, enumeration_estimate
 from .documents import complex_to_document, document_to_json, load_complex, read_document
-from .ehrhart import ehrhart_polynomial, hstar_vector
+from .ehrhart import ehrhart_polynomial, hstar
 from .errors import InputError, IntegrityError, ResourceLimitError, ValidationError
 from .geometry import Simplex
 from .complexes import generate_complex
@@ -85,15 +85,14 @@ def _cmd_ehrhart(args) -> int:
 def _cmd_hstar(args) -> int:
     doc = read_document(args.file)
     s = _document_simplex(doc, args.simplex)
-    poly = ehrhart_polynomial(s)
-    hstar = hstar_vector(poly)
+    entries = list(hstar(s).entries)
     payload = {"object_id": Path(args.file).stem, "simplex": args.simplex,
                "vertices": [list(v) for v in s.vertices],
                "intrinsic_dim": s.intrinsic_dim,
-               "coefficients": [str(c) for c in poly.coefficients],
-               "hstar": list(hstar.entries)}
+               "coefficients": [str(c) for c in ehrhart_polynomial(s).coefficients],
+               "hstar": entries}
     _emit(payload)
-    _note(f"h* = {list(hstar.entries)} (sum {sum(hstar.entries)})")
+    _note(f"h* = {entries} (sum {sum(entries)})")
     return EXIT_PASS
 
 

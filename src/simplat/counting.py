@@ -5,10 +5,10 @@ tested against the exact membership certificate of s itself; a scan over
 DEFAULT_ENUMERATION_LIMIT box points raises ResourceLimitError instead of
 running slowly.
 The additive counter sums relative-interior counts over all faces, which is
-the designated fast path for large dilations: each interior count is
-(-1)^m L(-t) of the face's counting polynomial L, by Ehrhart-Macdonald
-reciprocity, and L is built once per lattice class from its h*-vector
-(ehrhart.ehrhart_polynomial), at a cost that follows the normalized volume.
+the designated fast path for large dilations: each interior count is the
+int sum h_k C(t+k-1, m) over the face's integer h*-vector h, by
+Ehrhart-Macdonald reciprocity, and h is computed once per lattice class
+(ehrhart.hstar), at a cost that follows the normalized volume.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from itertools import product
 from math import prod
 
 from .complexes import SimplicialComplex
-from .errors import InputError, IntegrityError, ResourceLimitError, is_int
-from .geometry import Simplex, bounding_box, membership_certificate
+from .errors import ResourceLimitError
+from .geometry import Simplex, bounding_box, check_dilation, membership_certificate
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
 
@@ -34,12 +34,6 @@ class CountReport:
     def as_dict(self) -> dict:
         return {"object_id": self.object_id, "dilation": self.dilation,
                 "count": self.count, "method": self.method}
-
-
-def _check_dilation(t) -> int:
-    if not is_int(t) or t < 1:
-        raise InputError(f"dilation factor must be an integer >= 1, got {t!r}")
-    return t
 
 
 def box_points(s: Simplex, t: int = 1) -> int:
@@ -89,7 +83,7 @@ def _check_budget(points: int) -> None:
 
 def count_simplex(s: Simplex, t: int) -> int:
     """|t*s ∩ Z^d| by bounding-box enumeration with exact membership."""
-    _check_dilation(t)
+    check_dilation(t)
     _check_budget(box_points(s, t))
     return sum(1 for _ in _scan(s, t, strict=False))
 
@@ -97,7 +91,7 @@ def count_simplex(s: Simplex, t: int) -> int:
 def count_relative_interior(s: Simplex, t: int) -> int:
     """Lattice points in the relative interior of t*s (all barycentric
     coordinates strictly positive; a point simplex is its own interior)."""
-    _check_dilation(t)
+    check_dilation(t)
     _check_budget(box_points(s, t))
     return sum(1 for _ in _scan(s, t, strict=True))
 
@@ -110,7 +104,7 @@ def enumeration_estimate(c: SimplicialComplex, t: int) -> int:
 def count_complex(c: SimplicialComplex, t: int) -> int:
     """|t*|c| ∩ Z^d| for a valid complex: the union over maximal faces of
     per-face bounding-box enumerations, deduplicated exactly."""
-    _check_dilation(t)
+    check_dilation(t)
     if not c.faces:
         return 0
     _check_budget(enumeration_estimate(c, t))
@@ -124,19 +118,11 @@ def count_complex_additive(c: SimplicialComplex, t: int) -> int:
     """Same count as count_complex, via the disjoint partition of the union
     into relative interiors of faces.
 
-    The interior of t*F counts as (-1)^m L_F(-t) for the counting
-    polynomial L_F of each m-face F (Ehrhart-Macdonald reciprocity), so the
-    cost does not grow with t; L_F comes from the h*-vector of the face's
-    lattice class, computed once per class.
+    The interior of t*F counts as sum h_k C(t+k-1, m) for the h*-vector h
+    of each m-face F (Ehrhart-Macdonald reciprocity), an int whose cost does
+    not grow with t; h comes from the face's lattice class, computed once
+    per class.
     """
-    _check_dilation(t)
-    from .ehrhart import ehrhart_polynomial
-    total = 0
-    for face in sorted(map(tuple, map(sorted, c.faces))):
-        s = c.simplex(face)
-        value = (-1) ** s.intrinsic_dim * ehrhart_polynomial(s).evaluate(-t)
-        if value.denominator != 1 or value < 0:
-            raise IntegrityError(
-                f"interior evaluation produced a non-count {value} for face {face}")
-        total += int(value)
-    return total
+    check_dilation(t)
+    from .ehrhart import hstar
+    return sum(hstar(c.simplex(f)).interior(t) for f in c.faces)

@@ -1,13 +1,16 @@
-"""Ehrhart polynomials of lattice simplices, h*-vectors in the binomial
-basis, and the prime-power dilation congruence check for a single simplex.
+"""h*-vectors of lattice simplices, the Ehrhart polynomials they define,
+and the prime-power dilation congruence check for a single simplex.
 
-The lattice-point count of t*s is a degree-m polynomial in t (m = intrinsic
-dimension) that depends only on the lattice class of s.  It is built once
-per class from the class's h*-vector, read off the lattice points of the
-fundamental parallelepiped of the cone over the simplex (Beck & Robins,
-Computing the Continuous Discretely, ch. 3), at a cost that follows the
-normalized volume, not the bounding box.  Enumeration stays the
-independent check: the per-simplex congruence enumerates small boxes.
+The lattice-point count of t*s is L(t) = sum h_k C(t+m-k, m) (m = intrinsic
+dimension) for the integer h*-vector h of s, which depends only on the
+lattice class of s.  It is computed once per class, read off the lattice
+points of the fundamental parallelepiped of the cone over the simplex (Beck
+& Robins, Computing the Continuous Discretely, ch. 3), at a cost that
+follows the normalized volume, not the bounding box, and every count, closed
+or relative-interior (by Ehrhart-Macdonald reciprocity), is an int taken
+from it.  The rational polynomial is only interpolated for display.
+Enumeration stays the independent check: the per-simplex congruence
+enumerates small boxes.
 """
 
 from __future__ import annotations
@@ -95,10 +98,38 @@ def interpolate_counts(values) -> EhrhartPolynomial:
     return EhrhartPolynomial(tuple(coeffs))
 
 
+@dataclass(frozen=True)
+class HStarVector:
+    """Coefficients h_0..h_m of the counting polynomial of an m-simplex in
+    the binomial basis C(t+m-k, m): nonnegative integers with h_0 = 1 whose
+    sum is the normalized volume of the simplex in its own affine lattice,
+    for every m."""
+
+    entries: tuple[int, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.entries) - 1
+
+    def count(self, t: int) -> int:
+        """|t*s ∩ Z^d| = sum h_k C(t+m-k, m) for t >= 0."""
+        m = self.degree
+        return sum(h * binomial(t + m - k, m) for k, h in enumerate(self.entries))
+
+    def interior(self, t: int) -> int:
+        """Lattice points in the relative interior of t*s for t >= 1:
+        sum h_k C(t+k-1, m), by Ehrhart-Macdonald reciprocity."""
+        m = self.degree
+        return sum(h * binomial(t + k - 1, m) for k, h in enumerate(self.entries))
+
+    def as_dict(self) -> dict:
+        return {"entries": list(self.entries)}
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _class_polynomial(key: tuple[LatticePoint, ...]) -> EhrhartPolynomial:
-    """The counting polynomial shared by every simplex of lattice class key,
-    from the h*-vector of the canonical simplex conv(0, key) in Z^m.
+def _class_hstar(key: tuple[LatticePoint, ...]) -> HStarVector:
+    """The h*-vector shared by every simplex of lattice class key, read off
+    the canonical simplex conv(0, key) in Z^m.
 
     The lattice points of the fundamental parallelepiped of the cone over
     the simplex stand for the group Z^(m+1) / W Z^(m+1), W having columns
@@ -106,8 +137,7 @@ def _class_polynomial(key: tuple[LatticePoint, ...]) -> EhrhartPolynomial:
     from the Hermite normal form of W^T.  A representative x = (x', h) has
     cone coordinates mu_j = (h c0_j + a_j . x') / D_j, read from the
     simplex's barycentric rows, and its parallelepiped point sits at height
-    sum frac(mu_j), which is the entry of h* it adds to.  Then
-    L(t) = sum h_k C(t+m-k, m).
+    sum frac(mu_j), which is the entry of h* it adds to.
     """
     m = len(key)
     volume = prod(key[j][j] for j in range(m))
@@ -122,74 +152,32 @@ def _class_polynomial(key: tuple[LatticePoint, ...]) -> EhrhartPolynomial:
     forms = [tuple(c * (common // dj) for c in cs + (c0,))
              for (c0, cs), dj in zip(bary, denoms)]
     cone = hermite_normal_form([w + (1,) for w in canonical])
-    hstar = [0] * (m + 1)
+    entries = [0] * (m + 1)
     for x in product(*(range(row[i]) for i, row in enumerate(cone))):
-        hstar[sum(sum(a * xi for a, xi in zip(f, x)) % common
-                  for f in forms) // common] += 1
-    if hstar[0] != 1 or sum(hstar) != volume:
+        entries[sum(sum(a * xi for a, xi in zip(f, x)) % common
+                    for f in forms) // common] += 1
+    if entries[0] != 1 or sum(entries) != volume:
         raise IntegrityError(
-            f"h* = {hstar} of lattice class {key} needs h*_0 = 1 and sum {volume}")
-    poly = interpolate_counts(
-        [sum(h * binomial(t + m - k, m) for k, h in enumerate(hstar))
-         for t in range(m + 1)])
-    if poly.degree != m:
-        raise IntegrityError(
-            f"degree {poly.degree} != intrinsic dimension {m} for lattice class {key}")
-    return poly
+            f"h* = {entries} of lattice class {key} needs h*_0 = 1 and sum {volume}")
+    return HStarVector(tuple(entries))
+
+
+def hstar(s: Simplex) -> HStarVector:
+    """The h*-vector of s.
+
+    It depends only on the lattice class of s (geometry.lattice_class) and
+    is kept in an LRU cache of CACHE_SIZE classes, so every translated or
+    unimodularly mapped copy of s shares it.  Raises ResourceLimitError
+    when the normalized volume of s is over DEFAULT_ENUMERATION_LIMIT.
+    """
+    return _class_hstar(lattice_class(s))
 
 
 def ehrhart_polynomial(s: Simplex) -> EhrhartPolynomial:
-    """The counting polynomial t -> |t*s ∩ Z^d| of s.
-
-    It is built from the h*-vector of the lattice class of s
-    (geometry.lattice_class) and kept in an LRU cache of CACHE_SIZE classes,
-    so every translated or unimodularly mapped copy of s shares it.  Raises
-    ResourceLimitError when the normalized volume of s is over
-    DEFAULT_ENUMERATION_LIMIT.
-    """
-    return _class_polynomial(lattice_class(s))
-
-
-@dataclass(frozen=True)
-class HStarVector:
-    """Coefficients h_0..h_m of the counting polynomial in the binomial
-    basis C(t+m-i, m); always nonnegative integers with h_0 = 1 for lattice
-    simplices, summing to the normalized volume in the full-dimensional
-    case."""
-
-    entries: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.entries) - 1
-
-    def as_dict(self) -> dict:
-        return {"entries": list(self.entries)}
-
-
-def hstar_vector(poly: EhrhartPolynomial) -> HStarVector:
-    """Expand the counting polynomial in the basis C(t+m-i, m), i = 0..m.
-
-    Raises IntegrityError when the polynomial is not integer-valued at
-    t = 0..m or when any coefficient comes out negative; both indicate the
-    polynomial did not come from a lattice simplex or polytope.
-    """
-    m = poly.degree
-    values = []
-    for t in range(m + 1):
-        v = poly.evaluate(t)
-        if v.denominator != 1:
-            raise IntegrityError(f"polynomial is not integer-valued at t={t}: {v}")
-        values.append(int(v))
-    entries: list[int] = []
-    for i in range(m + 1):
-        acc = values[i]
-        for j in range(i):
-            acc -= entries[j] * binomial(i + m - j, m)
-        if acc < 0:
-            raise IntegrityError(f"negative h* entry h_{i} = {acc}")
-        entries.append(acc)
-    return HStarVector(tuple(entries))
+    """The counting polynomial t -> |t*s ∩ Z^d| of s, interpolated from
+    the counts of hstar(s) at t = 0..m."""
+    h = hstar(s)
+    return interpolate_counts([h.count(t) for t in range(h.degree + 1)])
 
 
 @dataclass(frozen=True)
@@ -222,8 +210,11 @@ def verify_simplex_congruence(s: Simplex, p: int, k: int) -> SimplexCongruenceRe
     the intrinsic dimension m of s (l = 0 for points).
 
     The count comes from enumeration when the dilated bounding box has at
-    most SUBCHECK_ENUMERATION_BUDGET points and from the counting
-    polynomial otherwise.
+    most SUBCHECK_ENUMERATION_BUDGET points and from the h*-vector
+    otherwise, as L(t) = sum h_j C(t+m-j, m).  That form is the paper's
+    reason the check passes: h_0 = 1, and C(t+m, m) ≡ 1 while
+    C(t+m-j, m) ≡ 0 for j = 1..m (mod p^(k-l)), as
+    numtheory.verify_binomial_congruences checks.
     """
     if not is_prime(p):
         raise InputError(f"p must be prime, got {p!r}")
@@ -238,10 +229,7 @@ def verify_simplex_congruence(s: Simplex, p: int, k: int) -> SimplexCongruenceRe
         count = count_simplex(s, t)
         method = "enumeration"
     else:
-        value = ehrhart_polynomial(s).evaluate(t)
-        if value.denominator != 1:
-            raise IntegrityError(f"non-integer count {value} at t={t}")
-        count = int(value)
+        count = hstar(s).count(t)
         method = "ehrhart"
     modulus = p ** (k - l)
     residue = count % modulus

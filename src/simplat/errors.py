@@ -19,8 +19,10 @@ class ValidationError(SimplatError):
 
 
 class ResourceLimitError(SimplatError):
-    """An enumeration would scan more box points than the library's fixed
-    envelope (counting.DEFAULT_ENUMERATION_LIMIT)."""
+    """A computation would go past the library's fixed envelope,
+    counting.DEFAULT_ENUMERATION_LIMIT: an enumeration would scan more box
+    points than that, or a lattice class whose h*-vector is asked for has a
+    larger normalized volume."""
 
 
 class IntegrityError(SimplatError):

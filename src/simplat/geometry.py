@@ -211,10 +211,15 @@ def contains_point(s: Simplex, x) -> bool:
     return coords is not None and all(c >= 0 for c in coords)
 
 
-def dilate(s: Simplex, t: int) -> Simplex:
-    """The dilated simplex t*s (every vertex scaled by the integer t >= 1)."""
+def check_dilation(t) -> None:
+    """Raise InputError unless t is a dilation factor, an integer >= 1."""
     if not is_int(t) or t < 1:
         raise InputError(f"dilation factor must be an integer >= 1, got {t!r}")
+
+
+def dilate(s: Simplex, t: int) -> Simplex:
+    """The dilated simplex t*s (every vertex scaled by the integer t >= 1)."""
+    check_dilation(t)
     return Simplex(tuple(tuple(c * t for c in v) for v in s.vertices))
 
 
