@@ -29,12 +29,22 @@ class SimplicialComplex:
     faces: frozenset[frozenset[int]]
 
     def simplex(self, face) -> Simplex:
-        """The geometric simplex of a face, vertices in index order."""
-        idx = sorted(face)
-        for i in idx:
-            if not 0 <= i < len(self.vertices):
-                raise InputError(f"vertex index {i} out of range")
-        return Simplex(tuple(self.vertices[i] for i in idx))
+        """The geometric simplex of a face, vertices in index order, built
+        on first request and kept in the face table."""
+        idx = tuple(sorted(face))
+        s = self._simplices.get(idx)
+        if s is None:
+            for i in idx:
+                if not 0 <= i < len(self.vertices):
+                    raise InputError(f"vertex index {i} out of range")
+            s = self._simplices[idx] = Simplex(
+                tuple(self.vertices[i] for i in idx))
+        return s
+
+    @cached_property
+    def _simplices(self) -> dict[tuple[int, ...], Simplex]:
+        """The face table: each face's Simplex by sorted index tuple."""
+        return {}
 
     @cached_property
     def maximal_faces(self) -> tuple[tuple[int, ...], ...]:
@@ -84,6 +94,7 @@ def close_under_faces(maximal, vertices, ambient_dim: int | None = None) -> Simp
         if len(v) != ambient_dim:
             raise InputError(f"vertex {v} does not have {ambient_dim} coordinates")
     faces: set[frozenset[int]] = set()
+    simplices: dict[tuple[int, ...], Simplex] = {}
     for face in maximal:
         idx = tuple(face)
         if not idx:
@@ -93,15 +104,17 @@ def close_under_faces(maximal, vertices, ambient_dim: int | None = None) -> Simp
         for i in idx:
             if not is_int(i) or not 0 <= i < len(verts):
                 raise InputError(f"vertex index {i!r} out of range in face {sorted(idx)}")
-        try:
-            Simplex(tuple(verts[i] for i in sorted(idx)))
-        except ValidationError as exc:
-            raise ValidationError(f"face {sorted(idx)} is degenerate: {exc}") from exc
         idx = tuple(sorted(idx))
+        try:
+            simplices[idx] = Simplex(tuple(verts[i] for i in idx))
+        except ValidationError as exc:
+            raise ValidationError(f"face {list(idx)} is degenerate: {exc}") from exc
         for r in range(1, len(idx) + 1):
             for sub in combinations(idx, r):
                 faces.add(frozenset(sub))
-    return SimplicialComplex(ambient_dim, verts, frozenset(faces))
+    c = SimplicialComplex(ambient_dim, verts, frozenset(faces))
+    c._simplices.update(simplices)  # the face table starts with these
+    return c
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:

@@ -9,7 +9,7 @@ rational linear programming. No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -159,6 +159,9 @@ class Simplex:
     than the ambient dimension d."""
 
     vertices: tuple[LatticePoint, ...]
+    # (min, max) corners, read by bounding_box; set once here
+    _box: tuple[LatticePoint, LatticePoint] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.vertices, tuple) or not self.vertices:
@@ -170,6 +173,9 @@ class Simplex:
             dim = len(pt)
             cleaned.append(pt)
         object.__setattr__(self, "vertices", tuple(cleaned))
+        columns = tuple(zip(*cleaned))
+        object.__setattr__(self, "_box", (tuple(map(min, columns)),
+                                          tuple(map(max, columns))))
         if len(self.vertices) > dim + 1:
             raise ValidationError(
                 f"{len(self.vertices)} vertices cannot be affinely independent in Z^{dim}")
@@ -187,10 +193,7 @@ class Simplex:
 
 def bounding_box(s: Simplex) -> tuple[LatticePoint, LatticePoint]:
     """Inclusive coordinate-wise (min, max) corners of the simplex."""
-    d = s.ambient_dim
-    lo = tuple(min(v[i] for v in s.vertices) for i in range(d))
-    hi = tuple(max(v[i] for v in s.vertices) for i in range(d))
-    return lo, hi
+    return s._box
 
 
 def barycentric_coordinates(s: Simplex, x) -> tuple[Fraction, ...] | None:

@@ -2,17 +2,21 @@
 
 The oracles here deliberately avoid the library's own code paths: membership
 comes from orientation predicates or sympy's solver, volumes from sympy
-determinants, counts from handwritten inequality scans.
+determinants, counts from handwritten inequality scans or, for the
+point-scan oracle, from every point of the box tested against the
+library's membership rows.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import sympy
 
 from simplat import Simplex
+from simplat.geometry import membership_certificate
 from simplat.errors import SimplatError
 
 # ---------------------------------------------------------------------------
@@ -127,6 +131,52 @@ def hollow_triangle_count(t: int) -> int:
             if x + y <= t and (x == 0 or y == 0 or x + y == t):
                 count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# point-scan oracle (criterion 7): the library's counters before they counted
+# by lines, testing every point of the dilated box against every row
+
+def scan_points(s: Simplex, t: int, strict: bool = False):
+    """Yield the lattice points of t*s (relative interior only when strict).
+
+    The membership rows of s serve t*s once each c0 is scaled by t, and the
+    box of t*s is the box of s scaled by t, so no dilated simplex is built.
+    """
+    lo = [min(v[i] for v in s.vertices) for i in range(s.ambient_dim)]
+    hi = [max(v[i] for v in s.vertices) for i in range(s.ambient_dim)]
+    bary, hull = membership_certificate(s)
+    bary = [(t * c0, cs) for c0, cs in bary]
+    hull = [(t * c0, cs) for c0, cs in hull]
+    for x in product(*(range(t * l, t * h + 1) for l, h in zip(lo, hi))):
+        ok = True
+        for c0, cs in hull:
+            acc = c0
+            for c, xi in zip(cs, x):
+                acc += c * xi
+            if acc:
+                ok = False
+                break
+        if not ok:
+            continue
+        for c0, cs in bary:
+            acc = c0
+            for c, xi in zip(cs, x):
+                acc += c * xi
+            if (acc <= 0) if strict else (acc < 0):
+                ok = False
+                break
+        if ok:
+            yield x
+
+
+def union_count(c, t: int) -> int:
+    """|t*|c| ∩ Z^d| as the size of the set union of the points of every
+    dilated maximal face, valid complex or not."""
+    points: set[tuple[int, ...]] = set()
+    for face in c.maximal_faces:
+        points.update(scan_points(c.simplex(face), t))
+    return len(points)
 
 
 # ---------------------------------------------------------------------------

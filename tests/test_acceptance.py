@@ -20,7 +20,8 @@ from simplat import (cli, count_complex, count_complex_additive,
 from simplat.documents import load_complex
 
 from helpers import (L_SHAPE_DOC, UNIT_SEGMENT_DOC, UNIT_SQUARE_DOC,
-                     l_shape_count, normalized_volume, random_simplex)
+                     l_shape_count, normalized_volume, random_simplex,
+                     union_count)
 
 SWEEP_CONFIGS = [(dim, grid, n)
                  for dim in (1, 2, 3)
@@ -147,7 +148,8 @@ def test_criterion_06_kummer_carry_equivalence():
 
 
 def test_criterion_07_counting_methods_cross_check():
-    """Direct union enumeration equals the face-interior sum on 100 complexes."""
+    """The line-counted union, the face-interior sum and the point-scan
+    union oracle agree on 100 complexes."""
     rng = random.Random(801)
     keeps = (1, Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
     for trial in range(100):
@@ -155,7 +157,9 @@ def test_criterion_07_counting_methods_cross_check():
         grid = rng.randint(1, 2)
         c = generate_complex(dim, grid, keeps[trial % 4], seed=trial)
         t = rng.randint(1, 12)
-        assert count_complex(c, t) == count_complex_additive(c, t), (trial, t)
+        expected = union_count(c, t)
+        assert count_complex(c, t) == expected, (trial, t)
+        assert count_complex_additive(c, t) == expected, (trial, t)
 
 
 def test_criterion_08_dilation_polynomial_integrity():

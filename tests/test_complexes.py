@@ -7,8 +7,9 @@ from itertools import combinations
 
 import pytest
 
-from simplat import (SimplicialComplex, close_under_faces, euler_characteristic,
-                     exactlp, generate_complex, geometry, summarize, validate)
+from simplat import (SimplicialComplex, close_under_faces, count_complex,
+                     count_complex_additive, euler_characteristic, exactlp,
+                     generate_complex, geometry, summarize, validate)
 from simplat.errors import InputError, ValidationError
 
 from helpers import HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC
@@ -77,6 +78,34 @@ class TestClosure:
         c = from_doc(UNIT_SQUARE_DOC)
         s = c.simplex((2, 1, 0))
         assert s.vertices == ((0, 0), (1, 0), (0, 1))
+
+
+class TestFaceTable:
+    def test_repeated_calls_return_one_object(self):
+        c = from_doc(L_SHAPE_DOC)
+        for face in c.faces:  # lower faces are built on first request
+            s = c.simplex(face)
+            assert c.simplex(face) is s
+            assert c.simplex(tuple(sorted(face, reverse=True))) is s
+            assert c.simplex(sorted(face)) is s
+        assert c.simplex((0, 1, 4)) is c.simplex(frozenset({4, 1, 0}))
+
+    def test_out_of_range_index_still_raises(self):
+        c = from_doc(UNIT_SQUARE_DOC)
+        c.simplex((0, 1, 2))
+        for bad in ((0, 4), (0, -1), (9,)):
+            with pytest.raises(InputError):
+                c.simplex(bad)
+            with pytest.raises(InputError):
+                c.simplex(bad)  # a failed build leaves no entry behind
+
+    def test_equality_and_hash_ignore_the_table(self):
+        a, b = from_doc(L_SHAPE_DOC), from_doc(L_SHAPE_DOC)
+        count_complex(a, 3)
+        count_complex_additive(a, 3)
+        assert validate(a).passed
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 class TestValidate:

@@ -7,18 +7,25 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from simplat import (Simplex, box_points, close_under_faces, count_complex,
                      count_complex_additive, count_relative_interior,
                      count_simplex, dilate, enumeration_estimate,
                      generate_complex)
-from simplat.errors import InputError, ResourceLimitError
+from simplat.errors import InputError, ResourceLimitError, ValidationError
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
                      hollow_triangle_count, l_shape_count, random_simplex,
-                     square_count, sympy_barycentric)
+                     scan_points, square_count, sympy_barycentric, union_count)
 
 UNIT_TRIANGLE = Simplex(((0, 0), (1, 0), (0, 1)))
+# Largest coordinate spread per ambient dimension 1..4 that keeps the box of
+# 4*s small enough for the point-scan oracle
+SPREAD = (60, 12, 4, 2)
+NEAR_ORIGIN_OR_MILLION = st.one_of(st.just(0), st.integers(-10**6 - 9, -10**6 + 9),
+                                   st.integers(10**6 - 9, 10**6 + 9))
 
 
 def from_doc(doc):
@@ -201,3 +208,80 @@ class TestAdditiveCount:
                                  keep, seed=trial)
             t = rng.randint(1, 4)
             assert count_complex_additive(c, t) == count_complex(c, t)
+
+
+@st.composite
+def simplex_lists(draw):
+    """One to three simplices of intrinsic dimension 0..d in one ambient
+    dimension d = 1..4, in a box of spread SPREAD[d-1] moved near 0 or near
+    +-10^6, and a dilation t = 1..4.  Nothing keeps them from overlapping."""
+    d = draw(st.integers(1, 4))
+    coordinate = st.integers(0, SPREAD[d - 1])
+    shift = draw(st.tuples(*[NEAR_ORIGIN_OR_MILLION] * d))
+    simplices = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(0, d))
+        points = draw(st.lists(st.tuples(*[coordinate] * d),
+                               min_size=m + 1, max_size=m + 1, unique=True))
+        try:
+            simplices.append(Simplex(tuple(
+                tuple(a + b for a, b in zip(p, shift)) for p in points)))
+        except ValidationError:
+            assume(False)
+    return simplices, draw(st.integers(1, 4))
+
+
+def complex_of(simplices):
+    """The closure of the simplices as maximal faces, each on its own
+    vertex indices, so overlaps are kept as given."""
+    vertices = [v for s in simplices for v in s.vertices]
+    faces, start = [], 0
+    for s in simplices:
+        faces.append(range(start, start + len(s.vertices)))
+        start += len(s.vertices)
+    return close_under_faces(faces, vertices)
+
+
+def simplex(*vertices):
+    return Simplex(tuple(vertices))
+
+
+class TestLinesMatchPointScan:
+    """The line counters against the point-scan oracle, which tests every
+    point of the dilated box against every row and takes a set union."""
+
+    @given(simplex_lists())
+    # edges and triangles parallel to the free axis
+    @example(([simplex((0, 0), (5, 0))], 3))
+    @example(([simplex((0, 0), (6, 0), (2, 3))], 2))
+    @example(([simplex((0, 0), (0, 6), (3, 2))], 2))
+    @example(([simplex((1, 2, 0), (1, 2, 7))], 4))
+    @example(([simplex((0, 0, 0), (4, 0, 0), (0, 0, 1))], 3))
+    # thin primitive segments
+    @example(([simplex((0, 0), (30, 31))], 1))
+    @example(([simplex((0, 0), (30, 31))], 2))
+    @example(([simplex((0, 0, 0), (7, 11, 13))], 3))
+    @example(([simplex((0, 0, 0, 0), (1, 2, 2, 2))], 4))
+    # shifts near +-10^6
+    @example(([simplex((10**6, -10**6), (10**6 + 3, -10**6 + 1), (10**6 + 1, -10**6 + 4))], 4))
+    @example(([simplex((-10**6 - 9, 10**6 + 9, 0), (-10**6 - 7, 10**6 + 8, 3))], 3))
+    # improper complexes: overlapping maximal faces
+    @example(([simplex((0,), (2,)), simplex((1,), (3,))], 2))
+    @example(([simplex((0, 0), (4, 0), (0, 4)), simplex((1, 1), (5, 1), (1, 5))], 2))
+    @example(([simplex((0, 0), (6, 0), (0, 6)), simplex((1, 1), (2, 1), (1, 2))], 1))
+    @example(([simplex((0, 0), (6, 0)), simplex((3, -2), (3, 2))], 1))
+    @example(([simplex((0, 0), (4, 4)), simplex((0, 4), (4, 0)), simplex((2, 0), (2, 4))], 3))
+    @settings(max_examples=300, deadline=None)
+    def test_counts_match_point_scan(self, case):
+        simplices, t = case
+        for s in simplices:
+            assert count_simplex(s, t) == sum(1 for _ in scan_points(s, t)), (s, t)
+            assert (count_relative_interior(s, t)
+                    == sum(1 for _ in scan_points(s, t, strict=True))), (s, t)
+        c = complex_of(simplices)
+        assert count_complex(c, t) == union_count(c, t), (simplices, t)
+
+    def test_crossing_segments_count_their_shared_point_once(self):
+        # the crossing point (3, 0) is a vertex of neither segment
+        c = complex_of([simplex((0, 0), (6, 0)), simplex((3, -2), (3, 2))])
+        assert count_complex(c, 1) == 7 + 5 - 1
