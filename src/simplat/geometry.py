@@ -1,7 +1,7 @@
 """Exact geometry of lattice simplices.
 
-Vertices live in Z^d, membership questions are answered through barycentric
-coordinates computed by exact Gauss-Jordan elimination over Fraction, and
+Vertices live in Z^d, membership questions are answered through integer
+barycentric rows computed by fraction-free Gauss-Jordan elimination, and
 pairwise intersection structure is decided by an integer separating
 functional drawn from those same rows when one exists, and otherwise by exact
 rational linear programming. No floating point anywhere.
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import exactlp
 from .errors import InputError, ValidationError, is_int
@@ -94,9 +94,9 @@ def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in a[:n])
 
 
-# Entries kept by each per-simplex cache (certificates here, counting
-# polynomials per lattice class in ehrhart); least recently used ones are
-# dropped beyond it.
+# Entries kept by each per-simplex cache (certificates here, h*-vectors
+# per lattice class in ehrhart); least recently used ones are dropped
+# beyond it.
 CACHE_SIZE = 4096
 
 
@@ -110,46 +110,64 @@ def _certificate(vertices: tuple[LatticePoint, ...]):
         lambda_j       = (c0 + coeffs . x) / bary_denoms[j]  for bary_rows[j]
         x in aff hull  iff  c0 + coeffs . x == 0 for every hull row
 
-    or None when the vertices are affinely dependent.  Works by reducing
-    [A | I] where A maps barycentric weights to (1, x) over Fraction, then
-    clears each row's denominators (a positive factor keeps every sign).
-    The lattice class (see lattice_class) is kept here so that it is
-    computed once per vertex tuple.
+    or None when the vertices are affinely dependent.  Works by fraction-free
+    (Bareiss) Gauss-Jordan elimination of [A | I], where A maps barycentric
+    weights to (1, x): each update row <- (piv * row - f * prow) // prev_piv
+    divides exactly, so every entry stays an int, and each final row is a
+    nonzero multiple of the row rational elimination gives.  The pivot is
+    the first nonzero entry at or below the pivot row.
+
+    Each row is then reduced to the primitive integer vector with a fixed
+    sign, which is what the rational rows cleared of their denominators are:
+    the rational barycentric row j reads [e_j | r] with r A = e_j, and the
+    rational hull row has a 1 in the identity column of the original row it
+    came from, so in both cases the least positive multiple that is integral
+    is primitive.  A barycentric row is signed so that its diagonal entry
+    D_j is positive and divided by gcd(D_j, *row), and D_j over that gcd is
+    its denominator; a hull row is signed so that its own identity entry is
+    positive and divided by its gcd.  The lattice class (see lattice_class)
+    is kept here so that it is computed once per vertex tuple.
     """
     k = len(vertices)
     d = len(vertices[0])
     rows = d + 1
-    mat: list[list[Fraction]] = []
-    for r in range(rows):
-        if r == 0:
-            left = [Fraction(1)] * k
-        else:
-            left = [Fraction(v[r - 1]) for v in vertices]
-        right = [Fraction(0)] * rows
-        right[r] = Fraction(1)
-        mat.append(left + right)
-    pivot_row = 0
+    mat = [[1] * k + [1] + [0] * d]
+    mat += [[v[i] for v in vertices] + [0] * (i + 1) + [1] + [0] * (d - 1 - i)
+            for i in range(d)]
+    origin = list(range(rows))  # original row of each position, for hull signs
+    prev = 1
     for col in range(k):
-        pr = next((r for r in range(pivot_row, rows) if mat[r][col]), None)
-        if pr is None:
+        for pr in range(col, rows):
+            if mat[pr][col]:
+                break
+        else:
             return None
-        mat[pivot_row], mat[pr] = mat[pr], mat[pivot_row]
-        piv = mat[pivot_row][col]
-        mat[pivot_row] = [v / piv for v in mat[pivot_row]]
+        if pr != col:
+            mat[col], mat[pr] = mat[pr], mat[col]
+            origin[col], origin[pr] = origin[pr], origin[col]
+        prow = mat[col]
+        piv = prow[col]
         for r in range(rows):
-            if r != pivot_row and mat[r][col]:
+            if r != col:
                 f = mat[r][col]
-                prow = mat[pivot_row]
-                mat[r] = [a - f * b for a, b in zip(mat[r], prow)]
-        pivot_row += 1
-    denoms = [lcm(*(f.denominator for f in row[k:])) for row in mat]
-    ints = [[f.numerator * (m // f.denominator) for f in row[k:]]
-            for row, m in zip(mat, denoms)]
-    cert = tuple((r[0], tuple(r[1:])) for r in ints)
+                if f or piv != prev:  # otherwise the update leaves the row as is
+                    mat[r] = [(piv * a - f * b) // prev for a, b in zip(mat[r], prow)]
+        prev = piv
+    # every diagonal entry D_j of the left block now equals the last pivot
+    bary, denoms, hull = [], [], []
+    for j in range(k):
+        right = mat[j][k:]
+        g = gcd(prev, *right) if prev > 0 else -gcd(prev, *right)
+        denoms.append(prev // g)
+        bary.append((right[0] // g, tuple([c // g for c in right[1:]])))
+    for r in range(k, rows):
+        right = mat[r][k:]
+        g = gcd(*right) if right[origin[r]] > 0 else -gcd(*right)
+        hull.append((right[0] // g, tuple([c // g for c in right[1:]])))
     v0 = vertices[0]
     edges = [[v[i] - v0[i] for v in vertices[1:]] for i in range(d)]
     key = tuple(zip(*hermite_normal_form(edges)))
-    return cert[:k], cert[k:], tuple(denoms[:k]), key
+    return tuple(bary), tuple(hull), tuple(denoms), key
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ def run_verify(c: SimplicialComplex, n: int, *,
 
     Enumeration is used while the total box estimate is at most
     VERIFY_ENUMERATION_BUDGET; beyond it the additive counter takes over
-    (interior counts from each face's counting polynomial), which is exact at
+    (interior counts from each face's h*-vector), which is exact at
     any dilation.
     """
     plan = dilation_plan(c.ambient_dim, n)

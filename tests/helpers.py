@@ -12,11 +12,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import sympy
 
 from simplat import Simplex
-from simplat.geometry import membership_certificate
+from simplat.geometry import hermite_normal_form, membership_certificate
 from simplat.errors import SimplatError
 
 # ---------------------------------------------------------------------------
@@ -177,6 +178,55 @@ def union_count(c, t: int) -> int:
     for face in c.maximal_faces:
         points.update(scan_points(c.simplex(face), t))
     return len(points)
+
+
+# ---------------------------------------------------------------------------
+# certificate oracle: the library's certificate rows before they were
+# computed in integers, by Gauss-Jordan elimination over Fraction
+
+def fraction_certificate(vertices):
+    """(bary_rows, hull_rows, bary_denoms, lattice_class) of a vertex tuple,
+    or None when the vertices are affinely dependent.
+
+    Reduces [A | I], A mapping barycentric weights to (1, x), over Fraction
+    and clears each row's denominators.  The lattice class is taken from
+    the library's hermite_normal_form, so this oracle checks the rows and
+    denominators only.
+    """
+    k = len(vertices)
+    d = len(vertices[0])
+    rows = d + 1
+    mat: list[list[Fraction]] = []
+    for r in range(rows):
+        if r == 0:
+            left = [Fraction(1)] * k
+        else:
+            left = [Fraction(v[r - 1]) for v in vertices]
+        right = [Fraction(0)] * rows
+        right[r] = Fraction(1)
+        mat.append(left + right)
+    pivot_row = 0
+    for col in range(k):
+        pr = next((r for r in range(pivot_row, rows) if mat[r][col]), None)
+        if pr is None:
+            return None
+        mat[pivot_row], mat[pr] = mat[pr], mat[pivot_row]
+        piv = mat[pivot_row][col]
+        mat[pivot_row] = [v / piv for v in mat[pivot_row]]
+        for r in range(rows):
+            if r != pivot_row and mat[r][col]:
+                f = mat[r][col]
+                prow = mat[pivot_row]
+                mat[r] = [a - f * b for a, b in zip(mat[r], prow)]
+        pivot_row += 1
+    denoms = [lcm(*(f.denominator for f in row[k:])) for row in mat]
+    ints = [[f.numerator * (m // f.denominator) for f in row[k:]]
+            for row, m in zip(mat, denoms)]
+    cert = tuple((r[0], tuple(r[1:])) for r in ints)
+    v0 = vertices[0]
+    edges = [[v[i] - v0[i] for v in vertices[1:]] for i in range(d)]
+    key = tuple(zip(*hermite_normal_form(edges)))
+    return cert[:k], cert[k:], tuple(denoms[:k]), key
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from simplat import (Simplex, barycentric_coordinates, bounding_box,
                      contains_point, dilate, intersection_is_common_face)
 from simplat.errors import InputError, ValidationError
-from simplat.geometry import _common_face_lp
+from simplat.geometry import _certificate, _common_face_lp
 
-from helpers import random_simplex, sympy_barycentric, sympy_contains, triangle_contains
+from helpers import (fraction_certificate, random_simplex, sympy_barycentric,
+                     sympy_contains, triangle_contains)
 
 UNIT_TRIANGLE = Simplex(((0, 0), (1, 0), (0, 1)))
 
@@ -37,6 +38,42 @@ def simplex_pairs(draw):
         except ValidationError:
             assume(False)
     return tuple(pair)
+
+
+@st.composite
+def vertex_tuples(draw):
+    """Tuples of m+1 points, m = 0..d, in ambient dimension d = 1..6, near 0
+    or shifted near +-10^6.  Half of those with m >= 1 are made affinely
+    dependent on purpose: the last vertex becomes an integer affine
+    combination of the earlier ones (a repeat when the factor is 0)."""
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(0, d))
+    vertices = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                             min_size=m + 1, max_size=m + 1))
+    if m and draw(st.booleans()):
+        a = vertices[draw(st.integers(0, m - 1))]
+        b = vertices[draw(st.integers(0, m - 1))]
+        c = draw(st.integers(-2, 2))
+        vertices[m] = tuple(x + c * (y - x) for x, y in zip(a, b))
+    base = draw(st.sampled_from((0, 10**6, -10**6)))
+    shift = draw(st.tuples(*[st.integers(base - 5, base + 5)] * d))
+    return tuple(tuple(x + s for x, s in zip(v, shift)) for v in vertices)
+
+
+class TestCertificate:
+    @given(vertex_tuples())
+    @example(((0, 0), (0, 1)))  # leading zero coordinate: rows swap
+    @example(((4, 0, 0), (4, 1, 0), (4, 0, -3)))  # two swaps
+    @example(((5, 2), (1, 7), (4, -3)))  # negative pivots
+    @example(((-1, 4, 0), (-3, 1, 2)))  # negative pivot and hull rows
+    @example(((7, -2, 3),))  # point simplex
+    @example(((10**6, 3, -10**6), (10**6 + 1, 3, -10**6),
+              (10**6, 4, -10**6), (10**6, 3, 1 - 10**6)))  # unimodular
+    @example(((0, 0, 0), (97, 1, 0), (0, 89, 3), (5, 0, 101)))  # large det
+    @example(((0, 0), (1, 1), (2, 2)))  # affinely dependent
+    @settings(max_examples=300, deadline=None)
+    def test_integer_rows_match_fraction_elimination(self, vertices):
+        assert _certificate.__wrapped__(vertices) == fraction_certificate(vertices)
 
 
 class TestSimplexConstruction:
