@@ -17,7 +17,7 @@ from .counting import (CountReport, DEFAULT_ENUMERATION_LIMIT, box_points,
                        count_simplex, count_relative_interior, count_complex,
                        count_complex_additive, enumeration_estimate)
 from .ehrhart import (EhrhartPolynomial, HStarVector, SimplexCongruenceReport,
-                      ehrhart_polynomial, interpolate_counts, hstar,
+                      ehrhart_polynomial, hstar,
                       verify_simplex_congruence)
 from .numtheory import (Factorization, PrimeTerm, DilationPlan,
                         BinomialCongruenceReport, factorize, dilation_plan,
@@ -41,7 +41,7 @@ __all__ = [
     "count_relative_interior", "count_complex", "count_complex_additive",
     "enumeration_estimate",
     "EhrhartPolynomial", "HStarVector", "SimplexCongruenceReport",
-    "ehrhart_polynomial", "interpolate_counts", "hstar",
+    "ehrhart_polynomial", "hstar",
     "verify_simplex_congruence",
     "Factorization", "PrimeTerm", "DilationPlan", "BinomialCongruenceReport",
     "factorize", "dilation_plan", "binomial", "padic_valuation",

@@ -40,8 +40,7 @@ def _note(message: str) -> None:
 
 
 def _load(path: str):
-    doc = read_document(path)
-    return doc, load_complex(doc)
+    return load_complex(read_document(path))
 
 
 def _document_simplex(doc, index: int) -> Simplex:
@@ -54,8 +53,8 @@ def _document_simplex(doc, index: int) -> Simplex:
 
 
 def _cmd_count(args) -> int:
-    doc, complex_ = _load(args.file)
-    if complex_.faces and enumeration_estimate(complex_, args.dilate) > VERIFY_ENUMERATION_BUDGET:
+    complex_ = _load(args.file)
+    if enumeration_estimate(complex_, args.dilate) > VERIFY_ENUMERATION_BUDGET:
         count = count_complex_additive(complex_, args.dilate)
         method = "additive"
     else:
@@ -105,7 +104,7 @@ def _cmd_tmin(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc, complex_ = _load(args.file)
+    complex_ = _load(args.file)
     report = run_verify(complex_, args.modulus, input_id=Path(args.file).stem)
     _emit(report.as_dict())
     sub_failures = sum(1 for r in report.subchecks if not r.passed)
@@ -143,7 +142,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    doc, complex_ = _load(args.file)
+    complex_ = _load(args.file)
     report = probe_dilations(complex_, args.modulus, args.tmax,
                              input_id=Path(args.file).stem)
     _emit(report.as_dict())

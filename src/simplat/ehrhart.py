@@ -8,7 +8,9 @@ points of the fundamental parallelepiped of the cone over the simplex (Beck
 & Robins, Computing the Continuous Discretely, ch. 3), at a cost that
 follows the normalized volume, not the bounding box, and every count, closed
 or relative-interior (by Ehrhart-Macdonald reciprocity), is an int taken
-from it.  The rational polynomial is only interpolated for display.
+from it.  The rational polynomial, for display only, is the same sum
+expanded in the monomial basis: m! C(t+m-k, m) is an integer polynomial in
+t, so the coefficients take one division by m! each.
 Enumeration stays the independent check: the per-simplex congruence
 enumerates small boxes.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm, prod
+from math import factorial, lcm, prod
 
 from .counting import DEFAULT_ENUMERATION_LIMIT, box_points, count_simplex
 from .errors import InputError, IntegrityError, ResourceLimitError, is_int
@@ -63,39 +65,6 @@ class EhrhartPolynomial:
     def as_dict(self) -> dict:
         return {"degree": self.degree,
                 "coefficients": [str(c) for c in self.coefficients]}
-
-
-def interpolate_counts(values) -> EhrhartPolynomial:
-    """Exact polynomial through (0, values[0]), ..., (m, values[m]).
-
-    Intended for count sequences of lattice polytopes (a single simplex or
-    a complex that is itself a polytope), so values[0] must be 1.  Trailing
-    zero coefficients are stripped so the degree is the true degree.
-    """
-    vals = [Fraction(v) for v in values]
-    if not vals:
-        raise InputError("need at least one count to interpolate")
-    m = len(vals) - 1
-    coeffs = [Fraction(0)] * (m + 1)
-    for i, y in enumerate(vals):
-        basis = [Fraction(1)]
-        denom = 1
-        for j in range(m + 1):
-            if j == i:
-                continue
-            # multiply the running basis polynomial by (t - j)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] += c * (-j)
-                nxt[k + 1] += c
-            basis = nxt
-            denom *= i - j
-        scale = y / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return EhrhartPolynomial(tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -174,10 +143,20 @@ def hstar(s: Simplex) -> HStarVector:
 
 
 def ehrhart_polynomial(s: Simplex) -> EhrhartPolynomial:
-    """The counting polynomial t -> |t*s ∩ Z^d| of s, interpolated from
-    the counts of hstar(s) at t = 0..m."""
+    """The counting polynomial t -> |t*s ∩ Z^d| of s, by a change of basis
+    from h = hstar(s): m! L(t) = sum h_k prod_{j<m} (t + m - k - j) is an
+    integer polynomial, built with int multiply-adds, and each of its
+    coefficients is divided by m! once."""
     h = hstar(s)
-    return interpolate_counts([h.count(t) for t in range(h.degree + 1)])
+    m = h.degree
+    scaled = [0] * (m + 1)
+    for k, hk in enumerate(h.entries):
+        term = [hk]  # hk * prod_{j<m} (t + m - k - j), low degree first
+        for j in range(m):
+            a = m - k - j
+            term = [a * c + lower for c, lower in zip(term + [0], [0] + term)]
+        scaled = [x + y for x, y in zip(scaled, term)]
+    return EhrhartPolynomial(tuple(Fraction(c, factorial(m)) for c in scaled))
 
 
 @dataclass(frozen=True)

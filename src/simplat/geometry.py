@@ -349,6 +349,7 @@ def intersection_is_common_face(s1: Simplex, s2: Simplex) -> bool:
     if any(_separates(row, s1.vertices, s2.vertices, len(shared))
            for s in (s1, s2) for row in _separating_rows(s, shared)):
         return True
-    # With no shared vertex both LPs only ask whether s1 ∩ s2 is empty.
-    return _common_face_lp(s1, s2, shared) and (
-        not shared or _common_face_lp(s2, s1, shared))
+    # One LP decides it: barycentric coordinates w.r.t. s1 are unique, so
+    # s1 ∩ s2 lies in conv(shared), itself in both simplices, iff no point
+    # of it weighs a non-shared vertex of s1.
+    return _common_face_lp(s1, s2, shared)

@@ -65,9 +65,7 @@ def run_verify(c: SimplicialComplex, n: int, *,
     plan = dilation_plan(c.ambient_dim, n)
     t = plan.dilation
     euler = euler_characteristic(c)
-    if not c.faces:
-        count, method = 0, "enumeration"
-    elif enumeration_estimate(c, t) <= VERIFY_ENUMERATION_BUDGET:
+    if enumeration_estimate(c, t) <= VERIFY_ENUMERATION_BUDGET:
         count, method = count_complex(c, t), "enumeration"
     else:
         count, method = count_complex_additive(c, t), "additive"

@@ -18,7 +18,7 @@ import sympy
 
 from simplat import Simplex
 from simplat.geometry import hermite_normal_form, membership_certificate
-from simplat.errors import SimplatError
+from simplat.errors import InputError, SimplatError
 
 # ---------------------------------------------------------------------------
 # document fixtures
@@ -227,6 +227,40 @@ def fraction_certificate(vertices):
     edges = [[v[i] - v0[i] for v in vertices[1:]] for i in range(d)]
     key = tuple(zip(*hermite_normal_form(edges)))
     return cert[:k], cert[k:], tuple(denoms[:k]), key
+
+
+# ---------------------------------------------------------------------------
+# polynomial oracle: the library's Ehrhart polynomial before it was read off
+# the h*-vector, by Lagrange interpolation over Fraction
+
+def lagrange_coefficients(values):
+    """Coefficients c_0..c_m of the exact polynomial through (0, values[0]),
+    ..., (m, values[m]), trailing zero coefficients stripped so the degree
+    is the true degree."""
+    vals = [Fraction(v) for v in values]
+    if not vals:
+        raise InputError("need at least one count to interpolate")
+    m = len(vals) - 1
+    coeffs = [Fraction(0)] * (m + 1)
+    for i, y in enumerate(vals):
+        basis = [Fraction(1)]
+        denom = 1
+        for j in range(m + 1):
+            if j == i:
+                continue
+            # multiply the running basis polynomial by (t - j)
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                nxt[k] += c * (-j)
+                nxt[k + 1] += c
+            basis = nxt
+            denom *= i - j
+        scale = y / denom
+        for k, c in enumerate(basis):
+            coeffs[k] += c * scale
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,14 @@ def l_shape_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def empty_file(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "vertices": [],
+                                "maximal_simplices": []}))
+    return str(path)
+
+
 def segment_file(tmp_path, end):
     """A document whose one maximal simplex is the segment from 0 to end."""
     path = tmp_path / "segment.json"
@@ -63,6 +71,13 @@ class TestCount:
         payload = json.loads(out)
         assert payload["count"] == 5001**2
         assert payload["method"] == "additive"
+
+    def test_empty_complex(self, capsys, empty_file):
+        # no face: the estimate is 0, so the enumeration branch counts 0
+        code, out, _ = run(capsys, "count", empty_file, "--dilate", "250")
+        assert code == 0
+        assert json.loads(out) == {"count": 0, "dilation": 250,
+                                   "method": "enumeration", "object_id": "empty"}
 
     def test_primitive_segment_with_a_wide_box(self, capsys, tmp_path):
         # 1000001 * 2 box points, but only the two endpoints are lattice points
@@ -167,6 +182,15 @@ class TestVerify:
                                "--modulus", str(n))
             assert code == 0
             assert json.loads(out)["verdict"] == "pass"
+
+    def test_empty_complex(self, capsys, empty_file):
+        code, out, _ = run(capsys, "verify", empty_file, "--modulus", "6")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["count"], payload["euler"], payload["dilation"]) == (0, 0, 12)
+        assert payload["method"] == "enumeration"
+        assert payload["subchecks"] == []
+        assert payload["verdict"] == "pass"
 
 
 class TestProbe:

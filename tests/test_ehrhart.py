@@ -11,31 +11,32 @@ from hypothesis import strategies as st
 
 from simplat import (EhrhartPolynomial, Simplex, count_relative_interior,
                      count_simplex, ehrhart_polynomial, hstar,
-                     interpolate_counts, verify_simplex_congruence)
+                     verify_simplex_congruence)
 from simplat.ehrhart import _class_hstar
 from simplat.errors import InputError, IntegrityError, ValidationError
 from simplat.geometry import _certificate, lattice_class
 
-from helpers import normalized_volume, random_simplex
+from helpers import lagrange_coefficients, normalized_volume, random_simplex
 
 F = Fraction
 UNIT_TRIANGLE = Simplex(((0, 0), (1, 0), (0, 1)))
 BIG_TRIANGLE = Simplex(((0, 0), (2, 0), (0, 2)))
 # conv{0, e1, e2, (1,1,4)}: volume 4/6, counts 4, 13, 32, 65 at t=1..4
 REEVE_4 = Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 4)))
-# Largest coordinate spread per ambient dimension 1..4 that keeps the box of
-# 3*s small enough for the enumeration oracle
-SPREAD = (2000, 40, 6, 2)
+# Largest coordinate spread per ambient dimension 1..5 that keeps the box of
+# 4*s small enough for the enumeration oracle
+SPREAD = (2000, 40, 6, 2, 2)
 NEAR_ORIGIN_OR_MILLION = st.one_of(st.just(0), st.integers(-10**6 - 9, -10**6 + 9),
                                    st.integers(10**6 - 9, 10**6 + 9))
 
 
 @st.composite
-def lattice_simplices(draw):
-    """Simplices of every intrinsic dimension 0..d in ambient dimension 1..4,
-    in a box of spread SPREAD[d-1] moved near 0 or near +-10^6."""
-    d = draw(st.integers(1, 4))
-    m = draw(st.integers(0, d))
+def lattice_simplices(draw, max_ambient=4):
+    """Simplices of every intrinsic dimension 0..min(d, 4) in ambient
+    dimension d = 1..max_ambient, in a box of spread SPREAD[d-1] moved near
+    0 or near +-10^6."""
+    d = draw(st.integers(1, max_ambient))
+    m = draw(st.integers(0, min(d, 4)))
     coordinate = st.integers(0, SPREAD[d - 1])
     points = draw(st.lists(st.tuples(*[coordinate] * d),
                            min_size=m + 1, max_size=m + 1, unique=True))
@@ -125,6 +126,19 @@ class TestPolynomial:
             assert p.evaluate(t) == h.count(t) == count_simplex(s, t)
             assert h.interior(t) == count_relative_interior(s, t)
 
+    @given(lattice_simplices(max_ambient=5))
+    @example(Simplex(((5, 5),)))
+    @example(Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0))))  # (1, 3/2, 1/2)
+    @example(REEVE_4)
+    @example(Simplex(((0, 0, 0, 0, 0), (1, 0, 0, 0, 1), (0, 1, 0, 0, 0),
+                      (0, 0, 1, 0, 0), (1, 1, 1, 3, 0))))
+    @settings(max_examples=300, deadline=None)
+    def test_change_of_basis_matches_interpolated_counts(self, s):
+        # the counts come from enumeration, not from h*; 0*s is one point
+        m = s.intrinsic_dim
+        counts = [1] + [count_simplex(s, t) for t in range(1, m + 1)]
+        assert ehrhart_polynomial(s).coefficients == lagrange_coefficients(counts)
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_lattice_class_is_unimodular_invariant(self, data):
@@ -173,23 +187,6 @@ class TestReciprocity:
             m = s.intrinsic_dim
             for t in range(1, 5):
                 assert (-1) ** m * p.evaluate(-t) == count_relative_interior(s, t)
-
-
-class TestInterpolation:
-    def test_triangular_numbers(self):
-        assert interpolate_counts([1, 3, 6]).coefficients == (1, F(3, 2), F(1, 2))
-
-    def test_line(self):
-        assert interpolate_counts([1, 3]).coefficients == (1, 2)
-
-    def test_constant_strips_trailing_zeros(self):
-        assert interpolate_counts([1, 1, 1]).coefficients == (1,)
-
-    def test_roundtrip_with_evaluate(self):
-        coeffs = (1, F(7, 2), 0, F(1, 2))
-        p = EhrhartPolynomial(coeffs)
-        values = [p.evaluate(t) for t in range(len(coeffs))]
-        assert interpolate_counts(values).coefficients == coeffs
 
 
 class TestHStar:

@@ -241,6 +241,8 @@ class TestCommonFace:
         a, b = pair
         shared = set(a.vertices) & set(b.vertices)
         lp = _common_face_lp(a, b, shared) and _common_face_lp(b, a, shared)
+        # barycentric coordinates are unique, so either LP alone decides
+        assert _common_face_lp(a, b, shared) == _common_face_lp(b, a, shared)
         assert intersection_is_common_face(a, b) == lp
         assert intersection_is_common_face(b, a) == lp
 

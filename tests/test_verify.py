@@ -53,6 +53,7 @@ class TestRunVerify:
         c = close_under_faces([], [], ambient_dim=2)
         r = run_verify(c, 5)
         assert (r.count, r.euler) == (0, 0)
+        assert r.method == "enumeration"
         assert r.passed
 
     def test_large_dilation_switches_to_additive(self):
