@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
+from operator import sub
 
 from .errors import InputError, ValidationError, is_int
 from .geometry import (LatticePoint, Simplex, as_lattice_point, bounding_box,
@@ -34,12 +35,31 @@ class SimplicialComplex:
         idx = tuple(sorted(face))
         s = self._simplices.get(idx)
         if s is None:
-            for i in idx:
-                if not 0 <= i < len(self.vertices):
-                    raise InputError(f"vertex index {i} out of range")
+            self._check_indices(idx)
             s = self._simplices[idx] = Simplex(
                 tuple(self.vertices[i] for i in idx))
         return s
+
+    def translation_class(self, face) -> tuple[LatticePoint, ...]:
+        """The face's vertex points, sorted, each minus the least one.
+
+        Two faces share it exactly when one is a lattice translate of the
+        other, which changes none of the lattice-point counts of its
+        dilations, so counts can be shared per class.  It costs a few
+        subtractions, where the lattice class (geometry.lattice_class)
+        needs the face's Simplex and its certificate.  Vertices are taken
+        to be int tuples of one length, as close_under_faces makes them.
+        """
+        self._check_indices(face)
+        points = sorted([self.vertices[i] for i in face])
+        return tuple([tuple(map(sub, p, points[0])) for p in points])
+
+    def _check_indices(self, face) -> None:
+        """Raise InputError naming the least index of face outside the
+        vertex list; a negative one would otherwise wrap."""
+        bad = [i for i in face if not 0 <= i < len(self.vertices)]
+        if bad:
+            raise InputError(f"vertex index {min(bad)} out of range")
 
     @cached_property
     def _simplices(self) -> dict[tuple[int, ...], Simplex]:

@@ -11,7 +11,10 @@ The additive counter sums relative-interior counts over all faces, which is
 the designated fast path for large dilations: each interior count is the
 int sum h_k C(t+k-1, m) over the face's integer h*-vector h, by
 Ehrhart-Macdonald reciprocity, and h is computed once per lattice class
-(ehrhart.hstar), at a cost that follows the normalized volume.
+(ehrhart.hstar), at a cost that follows the normalized volume.  Faces are
+grouped by translation class first, a key of a few subtractions, and only
+one face per class builds its Simplex and reads h: the lattice class would
+need each face's certificate just to find the key.
 """
 
 from __future__ import annotations
@@ -170,9 +173,21 @@ def count_complex_additive(c: SimplicialComplex, t: int) -> int:
 
     The interior of t*F counts as sum h_k C(t+k-1, m) for the h*-vector h
     of each m-face F (Ehrhart-Macdonald reciprocity), an int whose cost does
-    not grow with t; h comes from the face's lattice class, computed once
-    per class.
+    not grow with t.  Faces are grouped by translation class
+    (SimplicialComplex.translation_class), since translates have the same
+    interior counts: only the first face of each class in c.faces order
+    builds its Simplex and reads h, and every face of the class adds that
+    count.  The lattice class would join more faces, but needs every
+    face's certificate just to read the key.
     """
     check_dilation(t)
     from .ehrhart import hstar
-    return sum(hstar(c.simplex(f)).interior(t) for f in c.faces)
+    interiors: dict = {}
+    total = 0
+    for f in c.faces:
+        key = c.translation_class(f)
+        count = interiors.get(key)
+        if count is None:
+            count = interiors[key] = hstar(c.simplex(f)).interior(t)
+        total += count
+    return total

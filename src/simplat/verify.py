@@ -4,7 +4,7 @@ generated complexes, and per-dilation probing."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .complexes import SimplicialComplex, euler_characteristic, generate_complex
@@ -61,6 +61,14 @@ def run_verify(c: SimplicialComplex, n: int, *,
     VERIFY_ENUMERATION_BUDGET; beyond it the additive counter takes over
     (interior counts from each face's h*-vector), which is exact at
     any dilation.
+
+    Sub-checks run once per translation class of maximal faces
+    (SimplicialComplex.translation_class): a lattice translate of s
+    shifts p^k*s by a lattice vector, which changes neither its count
+    nor the box that picks the method.  Every later face of a class gets
+    the first face's reports with its own vertices, in the same order.
+    Grouping by lattice class instead would need every face's
+    certificate just to read the key.
     """
     plan = dilation_plan(c.ambient_dim, n)
     t = plan.dilation
@@ -70,11 +78,16 @@ def run_verify(c: SimplicialComplex, n: int, *,
     else:
         count, method = count_complex_additive(c, t), "additive"
     subchecks = []
+    by_class: dict = {}
     for face in c.maximal_faces:
         s = c.simplex(face)
-        for term in plan.terms:
-            subchecks.append(verify_simplex_congruence(
-                s, term.prime, term.dilation_exponent))
+        key = c.translation_class(face)
+        reports = by_class.get(key)
+        if reports is None:
+            reports = by_class[key] = [
+                verify_simplex_congruence(s, term.prime, term.dilation_exponent)
+                for term in plan.terms]
+        subchecks.extend(replace(r, vertices=s.vertices) for r in reports)
     count_residue = count % n
     euler_residue = euler % n
     return VerificationReport(

@@ -16,8 +16,10 @@ from math import lcm
 
 import sympy
 
-from simplat import Simplex
-from simplat.geometry import hermite_normal_form, membership_certificate
+from simplat import Simplex, close_under_faces
+from simplat.ehrhart import hstar
+from simplat.geometry import (check_dilation, hermite_normal_form,
+                              membership_certificate)
 from simplat.errors import InputError, SimplatError
 
 # ---------------------------------------------------------------------------
@@ -181,6 +183,41 @@ def union_count(c, t: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# additive-count oracles: the library's additive count before it grouped
+# faces by translation class, and the translation classes found by trying
+# every translation
+
+def facewise_additive(c, t: int) -> int:
+    """Sum over all faces of the interior count of the dilated face, each
+    face's h*-vector read on its own (overlapping faces of an improper
+    complex are counted twice)."""
+    check_dilation(t)
+    return sum(hstar(c.simplex(f)).interior(t) for f in c.faces)
+
+
+def translation_class_count(c) -> int:
+    """Number of classes of the faces of c under lattice translation.
+
+    A face joins a representative's class when some translation taking one
+    fixed vertex of the representative to a vertex of the face maps all of
+    the representative's vertices onto the face's; no ordering of points is
+    used.
+    """
+    reps: list[list[tuple[int, ...]]] = []
+    for face in c.faces:
+        points = {c.vertices[i] for i in face}
+        for rep in reps:
+            if len(rep) != len(points):
+                continue
+            if any({tuple(x + b - a for x, a, b in zip(p, rep[0], q))
+                    for p in rep} == points for q in points):
+                break
+        else:
+            reps.append(list(points))
+    return len(reps)
+
+
+# ---------------------------------------------------------------------------
 # certificate oracle: the library's certificate rows before they were
 # computed in integers, by Gauss-Jordan elimination over Fraction
 
@@ -265,6 +302,30 @@ def lagrange_coefficients(values):
 
 # ---------------------------------------------------------------------------
 # random generation
+
+def random_unimodular(rng: random.Random, dim: int) -> list[list[int]]:
+    """A unit lower-triangular matrix with entries in {-1, 0, 1}, its rows
+    permuted and signed: an element of GL_d(Z)."""
+    lower = [[1 if j == i else rng.choice((-1, 0, 1)) if j < i else 0
+              for j in range(dim)] for i in range(dim)]
+    order = rng.sample(range(dim), dim)
+    signs = [rng.choice((-1, 1)) for _ in range(dim)]
+    return [[sign * x for x in lower[r]] for r, sign in zip(order, signs)]
+
+
+def moved_complex(c, rng: random.Random, shift):
+    """The image of c under a random unimodular map plus shift, its vertex
+    indices shuffled, so that index order says nothing about point order."""
+    matrix = random_unimodular(rng, c.ambient_dim)
+    new_index = list(range(len(c.vertices)))
+    rng.shuffle(new_index)
+    vertices = [None] * len(c.vertices)
+    for i, v in enumerate(c.vertices):
+        vertices[new_index[i]] = tuple(sum(a * x for a, x in zip(row, v)) + b
+                                       for row, b in zip(matrix, shift))
+    return close_under_faces([[new_index[i] for i in f] for f in c.maximal_faces],
+                             vertices, ambient_dim=c.ambient_dim)
+
 
 def random_simplex(rng: random.Random, ambient: int, coord_max: int = 3,
                    intrinsic: int | None = None) -> Simplex:

@@ -93,11 +93,13 @@ class TestFaceTable:
     def test_out_of_range_index_still_raises(self):
         c = from_doc(UNIT_SQUARE_DOC)
         c.simplex((0, 1, 2))
-        for bad in ((0, 4), (0, -1), (9,)):
+        for bad, named in (((0, 4), 4), ((0, -1), -1), ((9,), 9)):
             with pytest.raises(InputError):
                 c.simplex(bad)
             with pytest.raises(InputError):
                 c.simplex(bad)  # a failed build leaves no entry behind
+            with pytest.raises(InputError, match=f"vertex index {named} out"):
+                c.translation_class(bad)  # -1 would wrap to the last vertex
 
     def test_equality_and_hash_ignore_the_table(self):
         a, b = from_doc(L_SHAPE_DOC), from_doc(L_SHAPE_DOC)

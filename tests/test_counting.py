@@ -17,8 +17,9 @@ from simplat import (Simplex, box_points, close_under_faces, count_complex,
 from simplat.errors import InputError, ResourceLimitError, ValidationError
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
-                     hollow_triangle_count, l_shape_count, random_simplex,
-                     scan_points, square_count, sympy_barycentric, union_count)
+                     facewise_additive, hollow_triangle_count, l_shape_count,
+                     moved_complex, random_simplex, scan_points, square_count,
+                     sympy_barycentric, translation_class_count, union_count)
 
 UNIT_TRIANGLE = Simplex(((0, 0), (1, 0), (0, 1)))
 # Largest coordinate spread per ambient dimension 1..4 that keeps the box of
@@ -244,6 +245,58 @@ def complex_of(simplices):
 
 def simplex(*vertices):
     return Simplex(tuple(vertices))
+
+
+@st.composite
+def additive_cases(draw):
+    """A complex and a dilation t = 1..10^6.  Half are subcomplexes of a
+    grid triangulation in dimension 1-3, whole or random, under a unimodular
+    map and a shift near 0 or +-10^6, vertex indices shuffled: a whole grid
+    holds many translates of few faces.  The others are improper complexes:
+    random simplices and translated copies of them, each copy's vertices in
+    a drawn order, overlapping as drawn, so overlaps count twice."""
+    t = draw(st.one_of(st.integers(1, 4), st.integers(1, 10**6)))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        grid = draw(st.integers(1, (6, 4, 2)[dim - 1]))
+        keep = draw(st.sampled_from((1, Fraction(1, 2), Fraction(1, 4))))
+        c = generate_complex(dim, grid, keep, seed=draw(st.integers(0, 2**16)))
+        shift = draw(st.tuples(*[NEAR_ORIGIN_OR_MILLION] * dim))
+        return moved_complex(c, random.Random(draw(st.integers(0, 2**16))), shift), t
+    simplices, _ = draw(simplex_lists())
+    d = simplices[0].ambient_dim
+    copies = []
+    for s in simplices:
+        for _ in range(draw(st.integers(0, 2))):
+            v = draw(st.tuples(*[st.integers(-2, 2)] * d))
+            order = draw(st.permutations(s.vertices))
+            copies.append(Simplex(tuple(tuple(map(sum, zip(p, v))) for p in order)))
+    return complex_of(simplices + copies), t
+
+
+def grid_case(dim, grid, seed, shift, t):
+    c = generate_complex(dim, grid, 1, seed=0)
+    return moved_complex(c, random.Random(seed), shift), t
+
+
+class TestGroupedAdditiveCount:
+    """count_complex_additive, which reads one h*-vector per translation
+    class, against the sum over every face on its own."""
+
+    @given(additive_cases())
+    @example(grid_case(2, 6, 1, (10**6, -10**6), 10**6))
+    @example(grid_case(3, 2, 2, (-10**6, 10**6 + 3, 10**6), 10**6))
+    @example(grid_case(3, 2, 3, (0, 0, 0), 1))
+    @example((complex_of([simplex((0,), (2,)), simplex((1,), (3,)),
+                          simplex((2,), (0,))]), 2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_facewise_sum(self, case):
+        c, t = case
+        assert count_complex_additive(c, t) == facewise_additive(c, t)
+        # a key that joins two faces that are not translates can give a
+        # wrong sum; one that splits translates shares no work
+        assert (len({c.translation_class(f) for f in c.faces})
+                == translation_class_count(c))
 
 
 class TestLinesMatchPointScan:

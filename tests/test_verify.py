@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplat import (close_under_faces, generate_complex, probe_dilations,
-                     run_fuzz, run_verify)
+from simplat import (SimplicialComplex, close_under_faces,
+                     count_complex_additive, generate_complex,
+                     probe_dilations, run_fuzz, run_verify)
 from simplat.documents import load_complex
-from simplat.errors import InputError
+from simplat.ehrhart import verify_simplex_congruence
+from simplat.errors import InputError, ResourceLimitError
+from simplat.numtheory import dilation_plan
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
-                     l_shape_count)
+                     l_shape_count, moved_complex)
 
 
 class TestRunVerify:
@@ -102,6 +107,28 @@ class TestRunVerify:
             assert ([r.count for r in after.subchecks]
                     == [r.count for r in before.subchecks])
 
+    def test_subchecks_match_one_per_face(self):
+        # run_verify checks one face of each translation class; every
+        # report must equal the one its own face gives, vertices included
+        methods = set()
+        for dim, grid, seed, shift in ((2, 6, 1, (10**6, -10**6)),
+                                       (2, 4, 2, (0, 0)),
+                                       (3, 2, 3, (-10**6, 10**6, 10**6 - 5)),
+                                       (3, 1, 4, (0, 0, 0))):
+            c = moved_complex(generate_complex(dim, grid, 1, seed=0),
+                              random.Random(seed), shift)
+            for n in (6, 30, 60):
+                plan = dilation_plan(dim, n)
+                want = [verify_simplex_congruence(c.simplex(f), p.prime,
+                                                  p.dilation_exponent)
+                        for f in c.maximal_faces for p in plan.terms]
+                got = run_verify(c, n).subchecks
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a == b
+                methods.update(r.method for r in got)
+        assert methods == {"enumeration", "ehrhart"}
+
     def test_improper_complex_can_fail(self):
         # segments [0,2] and [1,3] overlap but share no face, so the
         # count/Euler congruence has no reason to hold: 7 vs 2 mod 2
@@ -123,6 +150,61 @@ class TestRunVerify:
         assert d["count"] == 25
         assert d["plan"]["dilation"] == 4
         assert isinstance(d["subchecks"], list)
+
+
+def direct_complex(maximal, vertices):
+    """A SimplicialComplex built without close_under_faces, so its index
+    sets are not checked: every nonempty subset of each maximal set."""
+    faces = {frozenset(sub) for face in maximal
+             for r in range(1, len(face) + 1) for sub in combinations(face, r)}
+    return SimplicialComplex(2, tuple(vertices), frozenset(faces))
+
+
+def first_bad_index(faces, nverts):
+    """The least out-of-range index of the first face, in the order given,
+    that has one: the index its error names."""
+    for face in faces:
+        bad = [i for i in sorted(face) if not 0 <= i < nverts]
+        if bad:
+            return bad[0]
+    raise AssertionError("no face has an index out of range")
+
+
+class TestErrorPaths:
+    """Errors from a directly constructed complex, on the additive count and
+    on run_verify: each names the first failing face."""
+
+    # two unit triangles far apart: translates of each other
+    VERTICES = ((0, 0), (1, 0), (0, 1), (5, 5), (6, 5), (5, 6))
+
+    @pytest.mark.parametrize("extra", [((0, 7), (3, 9)), ((0, -1),),
+                                       ((-1, 2), (4, 8)), ((1, 6, -2),)])
+    def test_index_out_of_range(self, extra):
+        # -1 would silently wrap to the last vertex under plain indexing
+        c = direct_complex(((0, 1, 2), (3, 4, 5)) + extra, self.VERTICES)
+        n = len(self.VERTICES)
+        want = f"vertex index {first_bad_index(c.faces, n)} out of range"
+        with pytest.raises(InputError, match=want):
+            count_complex_additive(c, 5)
+        # run_verify estimates the enumeration over the sorted maximal faces
+        # first, so the first of those with a bad index is named
+        want = f"vertex index {first_bad_index(c.maximal_faces, n)} out of range"
+        with pytest.raises(InputError, match=want):
+            run_verify(c, 2)
+
+    def test_class_over_the_volume_budget(self):
+        # normalized volumes 16e6 and 25e6, the second class twice
+        vertices = ((0, 0), (4000, 0), (0, 4000),
+                    (10000, 0), (15000, 0), (10000, 5000),
+                    (20000, 0), (25000, 0), (20000, 5000))
+        c = direct_complex(((0, 1, 2), (3, 4, 5), (6, 7, 8)), vertices)
+        first = next(f for f in c.faces if len(f) == 3)
+        volume = 16_000_000 if 0 in first else 25_000_000
+        want = f"normalized volume {volume} of lattice class"
+        with pytest.raises(ResourceLimitError, match=want):
+            count_complex_additive(c, 5)
+        with pytest.raises(ResourceLimitError, match=want):
+            run_verify(c, 2)
 
 
 class TestFuzz:
