@@ -11,7 +11,7 @@ from functools import cached_property
 from itertools import combinations, permutations, product
 from operator import sub
 
-from .errors import InputError, ValidationError, is_int
+from .errors import InputError, ValidationError, check_int, is_int
 from .geometry import (LatticePoint, Simplex, as_lattice_point, bounding_box,
                        intersection_is_common_face)
 
@@ -21,6 +21,7 @@ class SimplicialComplex:
     """A finite simplicial complex given by an indexed vertex list and a set
     of faces (nonempty frozensets of vertex indices).
 
+    Construction checks every vertex to be a point of Z^ambient_dim.
     Instances built through close_under_faces are closed under taking
     nonempty subsets; validate() checks the full geometric invariants.
     """
@@ -28,6 +29,11 @@ class SimplicialComplex:
     ambient_dim: int
     vertices: tuple[LatticePoint, ...]
     faces: frozenset[frozenset[int]]
+
+    def __post_init__(self) -> None:
+        check_int(self.ambient_dim, "ambient_dim", 1)
+        object.__setattr__(self, "vertices", tuple(
+            as_lattice_point(v, self.ambient_dim) for v in self.vertices))
 
     def simplex(self, face) -> Simplex:
         """The geometric simplex of a face, vertices in index order, built
@@ -47,8 +53,7 @@ class SimplicialComplex:
         other, which changes none of the lattice-point counts of its
         dilations, so counts can be shared per class.  It costs a few
         subtractions, where the lattice class (geometry.lattice_class)
-        needs the face's Simplex and its certificate.  Vertices are taken
-        to be int tuples of one length, as close_under_faces makes them.
+        needs the face's Simplex and its certificate.
         """
         self._check_indices(face)
         points = sorted([self.vertices[i] for i in face])
@@ -104,15 +109,13 @@ class ComplexSummary:
 
 def close_under_faces(maximal, vertices, ambient_dim: int | None = None) -> SimplicialComplex:
     """Build a complex containing exactly all nonempty subsets of the given
-    index sets.  Idempotent; affine independence of every set is enforced."""
-    verts = tuple(as_lattice_point(v) for v in vertices)
+    index sets.  Idempotent; affine independence of every set is enforced,
+    and SimplicialComplex checks the vertices."""
+    verts = tuple(vertices)
     if ambient_dim is None:
         if not verts:
             raise InputError("ambient_dim is required when the vertex list is empty")
-        ambient_dim = len(verts[0])
-    for v in verts:
-        if len(v) != ambient_dim:
-            raise InputError(f"vertex {v} does not have {ambient_dim} coordinates")
+        ambient_dim = len(as_lattice_point(verts[0]))
     faces: set[frozenset[int]] = set()
     simplices: dict[tuple[int, ...], Simplex] = {}
     for face in maximal:
@@ -285,11 +288,9 @@ def generate_complex(dim: int, grid: int, keep_fraction, seed: int) -> Simplicia
     """
     if not is_int(dim) or not 1 <= dim <= 4:
         raise InputError(f"dim must be an integer in [1, 4], got {dim!r}")
-    if not is_int(grid) or grid < 1:
-        raise InputError(f"grid must be an integer >= 1, got {grid!r}")
+    check_int(grid, "grid", 1)
     keep = _as_keep_fraction(keep_fraction)
-    if not is_int(seed):
-        raise InputError(f"seed must be an integer, got {seed!r}")
+    check_int(seed, "seed")
 
     verts = [tuple(p) for p in product(range(grid + 1), repeat=dim)]
     index = {v: i for i, v in enumerate(verts)}

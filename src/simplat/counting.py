@@ -25,8 +25,8 @@ from math import prod
 from operator import mul
 
 from .complexes import SimplicialComplex
-from .errors import ResourceLimitError
-from .geometry import Simplex, bounding_box, check_dilation, membership_certificate
+from .errors import ResourceLimitError, check_int
+from .geometry import Simplex, bounding_box, membership_certificate
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
 
@@ -113,7 +113,7 @@ def _check_budget(points: int) -> None:
 
 
 def _count(s: Simplex, t: int, strict: bool) -> int:
-    check_dilation(t)
+    check_int(t, "dilation factor", 1)
     _check_budget(box_points(s, t))
     axis = _free_axis([bounding_box(s)], t)
     return sum(last - first + 1
@@ -145,7 +145,7 @@ def count_complex(c: SimplicialComplex, t: int) -> int:
     the one with the fewest lines over all face boxes; the intervals on
     each line are merged and their lengths summed.
     """
-    check_dilation(t)
+    check_int(t, "dilation factor", 1)
     if not c.faces:
         return 0
     _check_budget(enumeration_estimate(c, t))
@@ -180,7 +180,7 @@ def count_complex_additive(c: SimplicialComplex, t: int) -> int:
     count.  The lattice class would join more faces, but needs every
     face's certificate just to read the key.
     """
-    check_dilation(t)
+    check_int(t, "dilation factor", 1)
     from .ehrhart import hstar
     interiors: dict = {}
     total = 0

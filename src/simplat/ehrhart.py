@@ -24,10 +24,10 @@ from itertools import product
 from math import factorial, lcm, prod
 
 from .counting import DEFAULT_ENUMERATION_LIMIT, box_points, count_simplex
-from .errors import InputError, IntegrityError, ResourceLimitError, is_int
+from .errors import InputError, IntegrityError, ResourceLimitError, check_int
 from .geometry import (CACHE_SIZE, LatticePoint, Simplex, _certificate,
                        hermite_normal_form, lattice_class)
-from .numtheory import binomial, floor_log, is_prime
+from .numtheory import binomial, check_prime, floor_log
 
 SUBCHECK_ENUMERATION_BUDGET = 512
 
@@ -55,8 +55,7 @@ class EhrhartPolynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, t: int) -> Fraction:
-        if not is_int(t):
-            raise InputError(f"evaluation point must be an integer, got {t!r}")
+        check_int(t, "evaluation point")
         acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * t + c
@@ -195,10 +194,8 @@ def verify_simplex_congruence(s: Simplex, p: int, k: int) -> SimplexCongruenceRe
     C(t+m-j, m) ≡ 0 for j = 1..m (mod p^(k-l)), as
     numtheory.verify_binomial_congruences checks.
     """
-    if not is_prime(p):
-        raise InputError(f"p must be prime, got {p!r}")
-    if not is_int(k) or k < 1:
-        raise InputError(f"k must be an integer >= 1, got {k!r}")
+    check_prime(p)
+    check_int(k, "k", 1)
     m = s.intrinsic_dim
     l = floor_log(p, m) if m >= 1 else 0
     if k <= l:

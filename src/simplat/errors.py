@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer predicate
-behind every argument check."""
+"""Exception types shared across the package, and check_int, the one check
+of the library's int arguments (dilations, moduli, exponents, sizes)."""
 
 
 class SimplatError(Exception):
@@ -32,3 +32,13 @@ class IntegrityError(SimplatError):
 def is_int(value: object) -> bool:
     """Whether value is a true int (bool excluded)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_int(value, name: str, least: int | None = None) -> int:
+    """Return value if it is a true int (bool excluded) and, when least is
+    given, at least least; otherwise raise InputError naming the argument:
+    "{name} must be an integer[ >= {least}], got {value!r}"."""
+    if not is_int(value) or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise InputError(f"{name} must be an integer{bound}, got {value!r}")
+    return value

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import exactlp
-from .errors import InputError, ValidationError, is_int
+from .errors import InputError, ValidationError, check_int, is_int
 
 LatticePoint = tuple[int, ...]
 RationalPoint = tuple[Fraction, ...]
@@ -232,15 +232,9 @@ def contains_point(s: Simplex, x) -> bool:
     return coords is not None and all(c >= 0 for c in coords)
 
 
-def check_dilation(t) -> None:
-    """Raise InputError unless t is a dilation factor, an integer >= 1."""
-    if not is_int(t) or t < 1:
-        raise InputError(f"dilation factor must be an integer >= 1, got {t!r}")
-
-
 def dilate(s: Simplex, t: int) -> Simplex:
     """The dilated simplex t*s (every vertex scaled by the integer t >= 1)."""
-    check_dilation(t)
+    check_int(t, "dilation factor", 1)
     return Simplex(tuple(tuple(c * t for c in v) for v in s.vertices))
 
 

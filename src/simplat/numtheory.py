@@ -11,20 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
 
-from .errors import InputError, is_int
+from .errors import InputError, check_int
 
 FACTORIZE_BOUND = 10 ** 12
 
 
-def _check_int(value, name: str) -> int:
-    if not is_int(value):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (desk-scale inputs)."""
-    _check_int(n, "n")
+    check_int(n, "n")
     if n < 2:
         return False
     if n < 4:
@@ -39,21 +33,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_prime(p, name: str = "p") -> int:
-    _check_int(p, name)
-    if not is_prime(p):
-        raise InputError(f"{name} must be prime, got {p}")
+def check_prime(p) -> int:
+    """Return p if it is a prime int; otherwise raise InputError naming p."""
+    if not is_prime(check_int(p, "p")):
+        raise InputError(f"p must be prime, got {p}")
     return p
 
 
 def floor_log(base: int, x: int) -> int:
     """Largest e >= 0 with base**e <= x, by exact multiplication."""
-    _check_int(base, "base")
-    _check_int(x, "x")
-    if base < 2:
-        raise InputError(f"base must be >= 2, got {base}")
-    if x < 1:
-        raise InputError(f"x must be >= 1, got {x}")
+    check_int(base, "base", 2)
+    check_int(x, "x", 1)
     e = 0
     power = base
     while power <= x:
@@ -81,9 +71,7 @@ class Factorization:
 
 def factorize(n: int) -> Factorization:
     """Trial-division factorization of n (2 <= n <= 10^12)."""
-    _check_int(n, "n")
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
+    check_int(n, "n", 2)
     if n > FACTORIZE_BOUND:
         raise InputError(f"n exceeds the supported bound {FACTORIZE_BOUND}")
     factors = []
@@ -144,9 +132,7 @@ class DilationPlan:
 def dilation_plan(dim: int, modulus: int) -> DilationPlan:
     """Build the per-prime dilation plan for a given ambient dimension and
     target modulus."""
-    _check_int(dim, "dim")
-    if dim < 1:
-        raise InputError(f"dim must be >= 1, got {dim}")
+    check_int(dim, "dim", 1)
     fact = factorize(modulus)
     terms = []
     t = 1
@@ -162,10 +148,8 @@ def dilation_plan(dim: int, modulus: int) -> DilationPlan:
 def binomial(a: int, b: int) -> int:
     """C(a, b) for any integer a and b >= 0, via the falling factorial
     a(a-1)...(a-b+1)/b! (reflection identity for negative a)."""
-    _check_int(a, "a")
-    _check_int(b, "b")
-    if b < 0:
-        raise InputError(f"b must be >= 0, got {b}")
+    check_int(a, "a")
+    check_int(b, "b", 0)
     if a >= 0:
         return comb(a, b)
     return (-1) ** b * comb(b - a - 1, b)
@@ -173,8 +157,8 @@ def binomial(a: int, b: int) -> int:
 
 def padic_valuation(m: int, p: int) -> int:
     """Exponent of the prime p in m (m != 0)."""
-    _check_int(m, "m")
-    _check_prime(p)
+    check_int(m, "m")
+    check_prime(p)
     if m == 0:
         raise InputError("p-adic valuation of 0 is undefined")
     m = abs(m)
@@ -188,11 +172,9 @@ def padic_valuation(m: int, p: int) -> int:
 def kummer_carries(a: int, b: int, p: int) -> int:
     """Number of carries when adding a and b in base p; equals the p-adic
     valuation of C(a+b, a)."""
-    _check_int(a, "a")
-    _check_int(b, "b")
-    _check_prime(p)
-    if a < 0 or b < 0:
-        raise InputError("a and b must be >= 0")
+    check_int(a, "a", 0)
+    check_int(b, "b", 0)
+    check_prime(p)
     carries = 0
     carry = 0
     while a or b or carry:
@@ -207,10 +189,10 @@ def kummer_carries(a: int, b: int, p: int) -> int:
 def congruence_shift_check(m: int, p: int, k: int, d: int) -> bool:
     """Whether (m + p^k)/p^v ≡ m/p^v (mod p^(k-l)) where v is the p-adic
     valuation of m and l = floor(log_p d); requires 1 <= m <= d and k > l."""
-    _check_int(m, "m")
-    _check_prime(p)
-    _check_int(k, "k")
-    _check_int(d, "d")
+    check_int(m, "m")
+    check_prime(p)
+    check_int(k, "k")
+    check_int(d, "d")
     if not 1 <= m <= d:
         raise InputError(f"m must satisfy 1 <= m <= d, got m={m}, d={d}")
     l = floor_log(p, d)
@@ -265,11 +247,9 @@ def verify_binomial_congruences(d: int, p: int, k: int) -> BinomialCongruenceRep
     """Check the binomial congruences behind the dilation plan for one prime
     power: each check compares C(p^k + d - i, d) mod p^(k-l) against 1 for
     i=0 and 0 for i=1..d."""
-    _check_int(d, "d")
-    _check_prime(p)
-    _check_int(k, "k")
-    if d < 1:
-        raise InputError(f"d must be >= 1, got {d}")
+    check_int(d, "d", 1)
+    check_prime(p)
+    check_int(k, "k")
     l = floor_log(p, d)
     if k <= l:
         raise InputError(f"k must exceed floor(log_{p}({d})) = {l}, got {k}")
@@ -295,10 +275,8 @@ def crt_combine(residues) -> tuple[int, int]:
         raise InputError("need at least one (residue, modulus) pair")
     r_acc, m_acc = 0, 1
     for r, m in pairs:
-        _check_int(r, "residue")
-        _check_int(m, "modulus")
-        if m < 1:
-            raise InputError(f"modulus must be >= 1, got {m}")
+        check_int(r, "residue")
+        check_int(m, "modulus", 1)
         if not 0 <= r < m:
             raise InputError(f"residue {r} out of range for modulus {m}")
         if gcd(m_acc, m) != 1:

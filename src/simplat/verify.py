@@ -11,7 +11,7 @@ from .complexes import SimplicialComplex, euler_characteristic, generate_complex
 from .counting import count_complex, count_complex_additive, enumeration_estimate
 from .documents import complex_to_document
 from .ehrhart import SimplexCongruenceReport, verify_simplex_congruence
-from .errors import InputError, is_int
+from .errors import check_int
 from .numtheory import DilationPlan, dilation_plan
 
 VERIFY_ENUMERATION_BUDGET = 20_000
@@ -51,16 +51,22 @@ class VerificationReport:
                 "subchecks": [r.as_dict() for r in self.subchecks]}
 
 
+def _count(c: SimplicialComplex, t: int) -> tuple[int, str]:
+    """The count of t*|c| and its method: enumeration while the total box
+    estimate is at most VERIFY_ENUMERATION_BUDGET, beyond it the additive
+    counter (interior counts from each face's h*-vector), which is exact
+    at any dilation."""
+    if enumeration_estimate(c, t) <= VERIFY_ENUMERATION_BUDGET:
+        return count_complex(c, t), "enumeration"
+    return count_complex_additive(c, t), "additive"
+
+
 def run_verify(c: SimplicialComplex, n: int, *,
                input_id: str = "complex") -> VerificationReport:
     """Count lattice points of the complex dilated by the planned factor and
     compare the residue with the Euler characteristic mod n; also run the
-    prime-power congruence sub-check on every maximal simplex.
-
-    Enumeration is used while the total box estimate is at most
-    VERIFY_ENUMERATION_BUDGET; beyond it the additive counter takes over
-    (interior counts from each face's h*-vector), which is exact at
-    any dilation.
+    prime-power congruence sub-check on every maximal simplex.  The count
+    is enumerated or additive as _count chooses.
 
     Sub-checks run once per translation class of maximal faces
     (SimplicialComplex.translation_class): a lattice translate of s
@@ -73,10 +79,7 @@ def run_verify(c: SimplicialComplex, n: int, *,
     plan = dilation_plan(c.ambient_dim, n)
     t = plan.dilation
     euler = euler_characteristic(c)
-    if enumeration_estimate(c, t) <= VERIFY_ENUMERATION_BUDGET:
-        count, method = count_complex(c, t), "enumeration"
-    else:
-        count, method = count_complex_additive(c, t), "additive"
+    count, method = _count(c, t)
     subchecks = []
     by_class: dict = {}
     for face in c.maximal_faces:
@@ -149,8 +152,7 @@ def run_fuzz(dim: int, grid: int, n: int, trials: int, seed: int) -> FuzzSummary
     (dim, grid, n, trials, seed).  Any failing trial is serialized in full
     for replay.
     """
-    if not is_int(trials) or trials < 1:
-        raise InputError(f"trials must be an integer >= 1, got {trials!r}")
+    check_int(trials, "trials", 1)
     plan = dilation_plan(dim, n)
     passes = 0
     failed = []
@@ -205,15 +207,16 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
                     input_id: str = "complex") -> ProbeReport:
     """Count at every dilation 1..t_max and flag which satisfy the
     congruence; exploratory, since the planned dilation is sufficient but
-    not always minimal."""
-    if not is_int(t_max) or t_max < 1:
-        raise InputError(f"t_max must be an integer >= 1, got {t_max!r}")
+    not always minimal.  Like run_verify, it counts additively once the
+    box estimate passes VERIFY_ENUMERATION_BUDGET (_count), where faces
+    of an improper complex that overlap count twice."""
+    check_int(t_max, "t_max", 1)
     plan = dilation_plan(c.ambient_dim, n)
     euler = euler_characteristic(c)
     euler_residue = euler % n
     rows = []
     for t in range(1, t_max + 1):
-        count = count_complex(c, t)
+        count, _ = _count(c, t)
         rows.append(ProbeRow(dilation=t, count=count,
                              count_residue=count % n,
                              congruent=count % n == euler_residue))

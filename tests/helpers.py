@@ -18,9 +18,8 @@ import sympy
 
 from simplat import Simplex, close_under_faces
 from simplat.ehrhart import hstar
-from simplat.geometry import (check_dilation, hermite_normal_form,
-                              membership_certificate)
-from simplat.errors import InputError, SimplatError
+from simplat.geometry import hermite_normal_form, membership_certificate
+from simplat.errors import InputError, SimplatError, check_int
 
 # ---------------------------------------------------------------------------
 # document fixtures
@@ -191,7 +190,7 @@ def facewise_additive(c, t: int) -> int:
     """Sum over all faces of the interior count of the dilated face, each
     face's h*-vector read on its own (overlapping faces of an improper
     complex are counted twice)."""
-    check_dilation(t)
+    check_int(t, "dilation factor", 1)
     return sum(hstar(c.simplex(f)).interior(t) for f in c.faces)
 
 

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplat import cli
+from simplat.documents import MAX_SAFE_INT
 from simplat.errors import IntegrityError
 
-from helpers import L_SHAPE_DOC, UNIT_SQUARE_DOC
+from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SEGMENT_DOC,
+                     UNIT_SQUARE_DOC)
 
 
 @pytest.fixture
@@ -279,3 +286,55 @@ class TestTopLevel:
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
         assert err == "internal error: cross-check failed\n"
+
+
+def int_paths(doc):
+    """The path (keys and indices) of every int in a document."""
+    yield ("ambient_dim",)
+    for key in ("vertices", "maximal_simplices"):
+        for i, row in enumerate(doc[key]):
+            for j in range(len(row)):
+                yield (key, i, j)
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid document with one mutation: a key missing or extra, a
+    float, bool, string or None in place of an int, a vertex index out of
+    range, or a coordinate past the JSON-safe range."""
+    doc = copy.deepcopy(draw(st.sampled_from(
+        (UNIT_SEGMENT_DOC, UNIT_SQUARE_DOC, L_SHAPE_DOC, HOLLOW_TRIANGLE_DOC))))
+    kind = draw(st.sampled_from(("missing", "extra", "not int", "index", "huge")))
+    if kind == "missing":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "extra":
+        doc[draw(st.text(min_size=1).filter(lambda k: k not in doc))] = 0
+    elif kind == "not int":
+        *parents, last = draw(st.sampled_from(list(int_paths(doc))))
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = draw(st.one_of(st.floats(), st.booleans(), st.text(),
+                                      st.none()))
+    elif kind == "index":
+        face = draw(st.sampled_from(doc["maximal_simplices"]))
+        face[draw(st.integers(0, len(face) - 1))] = draw(st.one_of(
+            st.integers(max_value=-1),
+            st.integers(min_value=len(doc["vertices"]))))
+    else:
+        vertex = draw(st.sampled_from(doc["vertices"]))
+        vertex[draw(st.integers(0, len(vertex) - 1))] = draw(st.one_of(
+            st.integers(min_value=MAX_SAFE_INT + 1),
+            st.integers(max_value=-MAX_SAFE_INT - 1)))
+    return doc
+
+
+class TestMalformedDocuments:
+    @given(malformed_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_code_without_traceback(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("malformed") / "doc.json"
+        path.write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(["verify", str(path), "--modulus", "6"])
+        assert code in (0, 1, 2, 3)

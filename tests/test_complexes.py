@@ -80,6 +80,34 @@ class TestClosure:
         assert s.vertices == ((0, 0), (1, 0), (0, 1))
 
 
+class TestConstruction:
+    """A directly built SimplicialComplex checks its own vertices, so no
+    path past the constructor sees a float or a point of the wrong
+    dimension."""
+
+    SEGMENT = frozenset({frozenset({0}), frozenset({1}), frozenset({0, 1})})
+    POINTS = frozenset({frozenset({0}), frozenset({1})})
+
+    @pytest.mark.parametrize("vertices", [((0, 0), (5.0, 5)), ((5.0, 5), (0, 0))])
+    def test_float_coordinate(self, vertices):
+        # the two points share a translation class, so a count that builds
+        # only the first face of each class would see the 5.0 in one order
+        for faces in (self.POINTS, self.SEGMENT):
+            with pytest.raises(InputError, match="lattice coordinates must be integers"):
+                SimplicialComplex(2, vertices, faces)
+
+    def test_wrong_dimension(self):
+        with pytest.raises(InputError, match="expected a point in dimension 2"):
+            SimplicialComplex(2, ((0, 0), (1, 0, 0)), self.SEGMENT)
+        with pytest.raises(InputError, match="expected a point in dimension 3"):
+            close_under_faces([[0, 1]], [(0, 0, 0), (1, 0)])
+
+    def test_vertices_become_int_tuples(self):
+        c = SimplicialComplex(2, [[0, 0], [1, 0]], self.SEGMENT)
+        assert c.vertices == ((0, 0), (1, 0))
+        assert c == close_under_faces([[0, 1]], [[0, 0], [1, 0]])
+
+
 class TestFaceTable:
     def test_repeated_calls_return_one_object(self):
         c = from_doc(L_SHAPE_DOC)

@@ -1,0 +1,101 @@
+"""The one integer argument check: errors.check_int, and every public entry
+point that refuses a bad int argument through it."""
+
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+
+import pytest
+
+from simplat import (Simplex, count_complex, count_complex_additive,
+                     count_relative_interior, count_simplex, dilate,
+                     generate_complex, probe_dilations, run_fuzz)
+from simplat.documents import load_complex
+from simplat.ehrhart import EhrhartPolynomial, verify_simplex_congruence
+from simplat.errors import InputError, check_int
+from simplat.numtheory import (binomial, congruence_shift_check, crt_combine,
+                               dilation_plan, factorize, floor_log, is_prime,
+                               kummer_carries, padic_valuation,
+                               verify_binomial_congruences)
+
+from helpers import UNIT_SQUARE_DOC
+
+TRIANGLE = Simplex(((0, 0), (1, 0), (0, 1)))
+SQUARE = load_complex(UNIT_SQUARE_DOC)
+
+# (entry point with one argument left open, the argument's name in the
+# message, a value below its range or None when it has no lower bound)
+ENTRY_POINTS = {
+    "is_prime.n": (is_prime, "n", None),
+    "floor_log.base": (lambda v: floor_log(v, 10), "base", 1),
+    "floor_log.x": (lambda v: floor_log(2, v), "x", 0),
+    "factorize.n": (factorize, "n", 1),
+    "dilation_plan.dim": (lambda v: dilation_plan(v, 6), "dim", 0),
+    "binomial.a": (lambda v: binomial(v, 2), "a", None),
+    "binomial.b": (lambda v: binomial(5, v), "b", -1),
+    "padic_valuation.m": (lambda v: padic_valuation(v, 2), "m", None),
+    "padic_valuation.p": (lambda v: padic_valuation(12, v), "p", 1),
+    "kummer_carries.a": (lambda v: kummer_carries(v, 3, 2), "a", -1),
+    "kummer_carries.b": (lambda v: kummer_carries(3, v, 2), "b", -1),
+    "kummer_carries.p": (lambda v: kummer_carries(3, 3, v), "p", 1),
+    "congruence_shift_check.m": (lambda v: congruence_shift_check(v, 2, 3, 4), "m", 0),
+    "congruence_shift_check.p": (lambda v: congruence_shift_check(1, v, 3, 4), "p", 1),
+    "congruence_shift_check.k": (lambda v: congruence_shift_check(1, 2, v, 4), "k", 2),
+    "congruence_shift_check.d": (lambda v: congruence_shift_check(1, 2, 3, v), "d", None),
+    "verify_binomial_congruences.d": (lambda v: verify_binomial_congruences(v, 2, 3), "d", 0),
+    "verify_binomial_congruences.p": (lambda v: verify_binomial_congruences(2, v, 3), "p", 1),
+    "verify_binomial_congruences.k": (lambda v: verify_binomial_congruences(2, 2, v), "k", 1),
+    "crt_combine.residue": (lambda v: crt_combine([(v, 3)]), "residue", -1),
+    "crt_combine.modulus": (lambda v: crt_combine([(0, v)]), "modulus", 0),
+    "dilate.t": (lambda v: dilate(TRIANGLE, v), "dilation factor", 0),
+    "count_simplex.t": (lambda v: count_simplex(TRIANGLE, v), "dilation factor", 0),
+    "count_relative_interior.t": (lambda v: count_relative_interior(TRIANGLE, v),
+                                  "dilation factor", 0),
+    "count_complex.t": (lambda v: count_complex(SQUARE, v), "dilation factor", 0),
+    "count_complex_additive.t": (lambda v: count_complex_additive(SQUARE, v),
+                                 "dilation factor", 0),
+    "evaluate.t": (lambda v: EhrhartPolynomial((1, 2, 1)).evaluate(v),
+                   "evaluation point", None),
+    "verify_simplex_congruence.p": (lambda v: verify_simplex_congruence(TRIANGLE, v, 2),
+                                    "p", 1),
+    "verify_simplex_congruence.k": (lambda v: verify_simplex_congruence(TRIANGLE, 2, v),
+                                    "k", 0),
+    "run_fuzz.trials": (lambda v: run_fuzz(2, 1, 2, v, 0), "trials", 0),
+    "probe_dilations.t_max": (lambda v: probe_dilations(SQUARE, 2, v), "t_max", 0),
+    "generate_complex.dim": (lambda v: generate_complex(v, 1, 1, 0), "dim", 0),
+    "generate_complex.grid": (lambda v: generate_complex(2, v, 1, 0), "grid", 0),
+    "generate_complex.seed": (lambda v: generate_complex(2, 1, 1, v), "seed", None),
+}
+
+CASES = [pytest.param(call, name, bad, id=f"{key}={bad!r}")
+         for key, (call, name, least) in ENTRY_POINTS.items()
+         for bad in (True, 2.0, "2") + (() if least is None else (least,))]
+
+
+@pytest.mark.parametrize("call, name, bad", CASES)
+def test_bad_argument_is_named(call, name, bad):
+    with pytest.raises(InputError) as info:
+        call(bad)
+    assert re.search(rf"(?<!\w){re.escape(name)}(?!\w)", str(info.value))
+
+
+class TestCheckInt:
+    def test_returns_the_int(self):
+        assert check_int(7, "x") == 7
+        assert check_int(-3, "x", -3) == -3
+        assert check_int(2 ** 80, "x", 1) == 2 ** 80
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "2", None, Fraction(2)])
+    def test_refuses_non_ints(self, bad):
+        with pytest.raises(InputError) as info:
+            check_int(bad, "grid")
+        assert str(info.value) == f"grid must be an integer, got {bad!r}"
+
+    def test_lower_bound_in_the_message(self):
+        with pytest.raises(InputError) as info:
+            check_int(0, "dilation factor", 1)
+        assert str(info.value) == "dilation factor must be an integer >= 1, got 0"
+        with pytest.raises(InputError) as info:
+            check_int(2.0, "dim", 1)
+        assert str(info.value) == "dim must be an integer >= 1, got 2.0"

@@ -249,6 +249,14 @@ class TestProbe:
             assert report.rows[-1].dilation == report.planned_dilation
             assert report.rows[-1].congruent
 
+    def test_counts_additively_past_the_budget(self):
+        # enumerating the whole [0,2]^3 grid at t = 60 would scan over 10^7
+        # box points; the additive count answers in O(1) per class
+        c = generate_complex(3, 2, 1, 0)
+        report = probe_dilations(c, 6, 60)
+        assert [(r.dilation, r.count) for r in report.rows] == [
+            (t, (2 * t + 1) ** 3) for t in range(1, 61)]
+
     def test_rejects_bad_tmax(self):
         with pytest.raises(InputError):
             probe_dilations(load_complex(UNIT_SQUARE_DOC), 2, 0)
