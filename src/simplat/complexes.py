@@ -5,7 +5,7 @@ built on the standard permutation triangulation of a cube grid."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
@@ -18,32 +18,57 @@ from .geometry import (LatticePoint, Simplex, as_lattice_point, bounding_box,
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A finite simplicial complex given by an indexed vertex list and a set
-    of faces (nonempty frozensets of vertex indices).
+    """A finite simplicial complex in Z^ambient_dim: an indexed vertex list
+    and the faces, nonempty frozensets of vertex indices.
 
-    Construction checks every vertex to be a point of Z^ambient_dim.
-    Instances built through close_under_faces are closed under taking
-    nonempty subsets; validate() checks the full geometric invariants.
+    Construction checks each face on its own: every vertex is a point of
+    Z^ambient_dim, every given face a nonempty set of indices into the
+    vertex list (InputError naming the face otherwise), and every maximal
+    face is affinely independent (ValidationError naming the least
+    degenerate one).  faces becomes the closure of the given sets under
+    nonempty subsets.  validate() checks the conditions between faces.
     """
 
     ambient_dim: int
     vertices: tuple[LatticePoint, ...]
     faces: frozenset[frozenset[int]]
+    # the face table: each face's Simplex by sorted index tuple, the
+    # maximal faces' built here and any other on first request
+    _simplices: dict[tuple[int, ...], Simplex] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_int(self.ambient_dim, "ambient_dim", 1)
-        object.__setattr__(self, "vertices", tuple(
-            as_lattice_point(v, self.ambient_dim) for v in self.vertices))
+        verts = tuple(as_lattice_point(v, self.ambient_dim) for v in self.vertices)
+        object.__setattr__(self, "vertices", verts)
+        closed: set[frozenset[int]] = set()
+        for face in self.faces:
+            if not face:
+                raise InputError("empty face in the face list")
+            for i in face:
+                if not is_int(i) or not 0 <= i < len(verts):
+                    raise InputError(f"vertex index {i!r} out of range in face {list(face)}")
+            for r in range(1, len(face) + 1):
+                closed.update(map(frozenset, combinations(face, r)))
+        object.__setattr__(self, "faces", frozenset(closed))
+        table = {}
+        for face in self.maximal_faces:
+            try:
+                table[face] = Simplex(tuple(verts[i] for i in face))
+            except ValidationError as exc:
+                raise ValidationError(f"face {list(face)} is degenerate: {exc}") from exc
+        object.__setattr__(self, "_simplices", table)
 
     def simplex(self, face) -> Simplex:
-        """The geometric simplex of a face, vertices in index order, built
-        on first request and kept in the face table."""
-        idx = tuple(sorted(face))
-        s = self._simplices.get(idx)
-        if s is None:
-            self._check_indices(idx)
-            s = self._simplices[idx] = Simplex(
-                tuple(self.vertices[i] for i in idx))
+        """The geometric simplex of a face of the complex, vertices in
+        index order, from the face table (InputError for a set that is not
+        a face)."""
+        try:
+            return self._simplices[tuple(sorted(face))]
+        except (KeyError, TypeError):  # not built yet, or indices that do not sort
+            pass
+        idx = tuple(sorted(self._face(face)))
+        s = self._simplices[idx] = Simplex(tuple(self.vertices[i] for i in idx))
         return s
 
     def translation_class(self, face) -> tuple[LatticePoint, ...]:
@@ -55,21 +80,14 @@ class SimplicialComplex:
         subtractions, where the lattice class (geometry.lattice_class)
         needs the face's Simplex and its certificate.
         """
-        self._check_indices(face)
-        points = sorted([self.vertices[i] for i in face])
+        points = sorted([self.vertices[i] for i in self._face(face)])
         return tuple([tuple(map(sub, p, points[0])) for p in points])
 
-    def _check_indices(self, face) -> None:
-        """Raise InputError naming the least index of face outside the
-        vertex list; a negative one would otherwise wrap."""
-        bad = [i for i in face if not 0 <= i < len(self.vertices)]
-        if bad:
-            raise InputError(f"vertex index {min(bad)} out of range")
-
-    @cached_property
-    def _simplices(self) -> dict[tuple[int, ...], Simplex]:
-        """The face table: each face's Simplex by sorted index tuple."""
-        return {}
+    def _face(self, face):
+        """face, if it is a face of the complex with int indices; else InputError."""
+        if frozenset(face) not in self.faces or not all(map(is_int, face)):
+            raise InputError(f"{list(face)} is not a face of the complex")
+        return face
 
     @cached_property
     def maximal_faces(self) -> tuple[tuple[int, ...], ...]:
@@ -108,36 +126,20 @@ class ComplexSummary:
 
 
 def close_under_faces(maximal, vertices, ambient_dim: int | None = None) -> SimplicialComplex:
-    """Build a complex containing exactly all nonempty subsets of the given
-    index sets.  Idempotent; affine independence of every set is enforced,
-    and SimplicialComplex checks the vertices."""
+    """The complex generated by the given index lists, which SimplicialComplex
+    closes under subsets and checks.  ambient_dim defaults to the length of
+    the first vertex.  A list that repeats an index is refused here, since
+    the complex sees each face only as a set."""
     verts = tuple(vertices)
     if ambient_dim is None:
         if not verts:
             raise InputError("ambient_dim is required when the vertex list is empty")
         ambient_dim = len(as_lattice_point(verts[0]))
-    faces: set[frozenset[int]] = set()
-    simplices: dict[tuple[int, ...], Simplex] = {}
-    for face in maximal:
-        idx = tuple(face)
-        if not idx:
-            raise InputError("empty face in maximal list")
-        if len(set(idx)) != len(idx):
-            raise InputError(f"repeated vertex index in face {sorted(idx)}")
-        for i in idx:
-            if not is_int(i) or not 0 <= i < len(verts):
-                raise InputError(f"vertex index {i!r} out of range in face {sorted(idx)}")
-        idx = tuple(sorted(idx))
-        try:
-            simplices[idx] = Simplex(tuple(verts[i] for i in idx))
-        except ValidationError as exc:
-            raise ValidationError(f"face {list(idx)} is degenerate: {exc}") from exc
-        for r in range(1, len(idx) + 1):
-            for sub in combinations(idx, r):
-                faces.add(frozenset(sub))
-    c = SimplicialComplex(ambient_dim, verts, frozenset(faces))
-    c._simplices.update(simplices)  # the face table starts with these
-    return c
+    faces = [tuple(face) for face in maximal]
+    for face in faces:
+        if len(set(face)) != len(face):
+            raise InputError(f"repeated vertex index in face {list(face)}")
+    return SimplicialComplex(ambient_dim, verts, faces)
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:
@@ -153,28 +155,17 @@ def summarize(c: SimplicialComplex) -> ComplexSummary:
 class ValidationReport:
     """Outcome of validate(); failures are data, not exceptions."""
 
-    index_failures: tuple[tuple[int, ...], ...] = ()
-    closure_failures: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
-    affine_failures: tuple[tuple[int, ...], ...] = ()
     duplicate_vertices: tuple[tuple[int, int], ...] = ()
     overlap_failures: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
 
     @property
     def passed(self) -> bool:
-        return not (self.index_failures or self.closure_failures
-                    or self.affine_failures or self.duplicate_vertices
-                    or self.overlap_failures)
+        return not (self.duplicate_vertices or self.overlap_failures)
 
     def describe(self) -> str:
         if self.passed:
             return "valid simplicial complex"
         lines = []
-        for face in self.index_failures:
-            lines.append(f"face {list(face)} references a vertex index out of range")
-        for face, missing in self.closure_failures:
-            lines.append(f"face {list(face)} is present but its subset {list(missing)} is not")
-        for face in self.affine_failures:
-            lines.append(f"face {list(face)} has affinely dependent vertices")
         for i, j in self.duplicate_vertices:
             lines.append(f"vertices {i} and {j} have identical coordinates")
         for a, b in self.overlap_failures:
@@ -184,9 +175,6 @@ class ValidationReport:
     def as_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "index_failures": [list(f) for f in self.index_failures],
-            "closure_failures": [[list(a), list(b)] for a, b in self.closure_failures],
-            "affine_failures": [list(f) for f in self.affine_failures],
             "duplicate_vertices": [list(p) for p in self.duplicate_vertices],
             "overlap_failures": [[list(a), list(b)] for a, b in self.overlap_failures],
         }
@@ -209,59 +197,28 @@ def _overlapping_boxes(boxes) -> list[tuple[int, int]]:
 
 
 def validate(c: SimplicialComplex) -> ValidationReport:
-    """Check closure, affine independence, distinct vertex coordinates, and
-    pairwise intersection-in-a-common-face of maximal faces (tested only
-    for pairs whose bounding boxes meet; the others are disjoint)."""
-    index_failures = []
-    nverts = len(c.vertices)
-    for face in sorted(map(tuple, map(sorted, c.faces))):
-        if any(not 0 <= i < nverts for i in face):
-            index_failures.append(face)
-    bad_index = set(map(frozenset, index_failures))
-
-    closure_failures = []
-    for face in c.faces:
-        if face in bad_index or len(face) == 1:
-            continue
-        for drop in sorted(face):
-            sub = face - {drop}
-            if sub not in c.faces:
-                closure_failures.append((tuple(sorted(face)), tuple(sorted(sub))))
-
-    referenced = sorted({i for f in c.faces for i in f if 0 <= i < nverts})
+    """Check what construction cannot, since it compares faces with each
+    other: distinct coordinates of the referenced vertices, and pairwise
+    intersection-in-a-common-face of maximal faces (tested only for pairs
+    whose bounding boxes meet; the others are disjoint)."""
     duplicate_vertices = []
     seen: dict[LatticePoint, int] = {}
-    for i in referenced:
+    for i in sorted(set().union(*c.maximal_faces)):
         pt = c.vertices[i]
         if pt in seen:
             duplicate_vertices.append((seen[pt], i))
         else:
             seen[pt] = i
 
-    affine_failures = []
-    simplices: dict[tuple[int, ...], Simplex] = {}
-    for face in c.maximal_faces:
-        if frozenset(face) in bad_index:
-            continue
-        try:
-            simplices[face] = c.simplex(face)
-        except ValidationError:
-            affine_failures.append(face)
-
+    faces = c.maximal_faces
+    simplices = [c.simplex(f) for f in faces]
     overlap_failures = []
-    usable = [f for f in c.maximal_faces if f in simplices]
-    for i, j in _overlapping_boxes([bounding_box(simplices[f]) for f in usable]):
-        fa, fb = usable[i], usable[j]
-        if not intersection_is_common_face(simplices[fa], simplices[fb]):
-            overlap_failures.append((fa, fb))
+    for i, j in _overlapping_boxes([bounding_box(s) for s in simplices]):
+        if not intersection_is_common_face(simplices[i], simplices[j]):
+            overlap_failures.append((faces[i], faces[j]))
 
-    return ValidationReport(
-        index_failures=tuple(index_failures),
-        closure_failures=tuple(sorted(closure_failures)),
-        affine_failures=tuple(affine_failures),
-        duplicate_vertices=tuple(duplicate_vertices),
-        overlap_failures=tuple(overlap_failures),
-    )
+    return ValidationReport(duplicate_vertices=tuple(duplicate_vertices),
+                            overlap_failures=tuple(overlap_failures))
 
 
 def _as_keep_fraction(value) -> Fraction:

@@ -133,7 +133,7 @@ def dilation_plan(dim: int, modulus: int) -> DilationPlan:
     """Build the per-prime dilation plan for a given ambient dimension and
     target modulus."""
     check_int(dim, "dim", 1)
-    fact = factorize(modulus)
+    fact = factorize(check_int(modulus, "modulus", 2))
     terms = []
     t = 1
     for p, a in fact.factors:

@@ -51,14 +51,14 @@ class VerificationReport:
                 "subchecks": [r.as_dict() for r in self.subchecks]}
 
 
-def _count(c: SimplicialComplex, t: int) -> tuple[int, str]:
-    """The count of t*|c| and its method: enumeration while the total box
-    estimate is at most VERIFY_ENUMERATION_BUDGET, beyond it the additive
-    counter (interior counts from each face's h*-vector), which is exact
-    at any dilation."""
+def _counter(c: SimplicialComplex, t: int):
+    """The counter for t*|c| and its method: enumeration while the total
+    box estimate is at most VERIFY_ENUMERATION_BUDGET, beyond it the
+    additive counter (interior counts from each face's h*-vector), which
+    is exact at any dilation."""
     if enumeration_estimate(c, t) <= VERIFY_ENUMERATION_BUDGET:
-        return count_complex(c, t), "enumeration"
-    return count_complex_additive(c, t), "additive"
+        return count_complex, "enumeration"
+    return count_complex_additive, "additive"
 
 
 def run_verify(c: SimplicialComplex, n: int, *,
@@ -66,7 +66,7 @@ def run_verify(c: SimplicialComplex, n: int, *,
     """Count lattice points of the complex dilated by the planned factor and
     compare the residue with the Euler characteristic mod n; also run the
     prime-power congruence sub-check on every maximal simplex.  The count
-    is enumerated or additive as _count chooses.
+    is enumerated or additive as _counter chooses.
 
     Sub-checks run once per translation class of maximal faces
     (SimplicialComplex.translation_class): a lattice translate of s
@@ -79,7 +79,8 @@ def run_verify(c: SimplicialComplex, n: int, *,
     plan = dilation_plan(c.ambient_dim, n)
     t = plan.dilation
     euler = euler_characteristic(c)
-    count, method = _count(c, t)
+    counter, method = _counter(c, t)
+    count = counter(c, t)
     subchecks = []
     by_class: dict = {}
     for face in c.maximal_faces:
@@ -207,16 +208,16 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
                     input_id: str = "complex") -> ProbeReport:
     """Count at every dilation 1..t_max and flag which satisfy the
     congruence; exploratory, since the planned dilation is sufficient but
-    not always minimal.  Like run_verify, it counts additively once the
-    box estimate passes VERIFY_ENUMERATION_BUDGET (_count), where faces
-    of an improper complex that overlap count twice."""
+    not always minimal.  All rows use the method _counter picks at t_max,
+    since on an improper complex the two methods differ."""
     check_int(t_max, "t_max", 1)
     plan = dilation_plan(c.ambient_dim, n)
     euler = euler_characteristic(c)
     euler_residue = euler % n
+    counter, _ = _counter(c, t_max)
     rows = []
     for t in range(1, t_max + 1):
-        count, _ = _count(c, t)
+        count = counter(c, t)
         rows.append(ProbeRow(dilation=t, count=count,
                              count_residue=count % n,
                              congruent=count % n == euler_residue))

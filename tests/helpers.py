@@ -15,8 +15,9 @@ from itertools import product
 from math import lcm
 
 import sympy
+from hypothesis import strategies as st
 
-from simplat import Simplex, close_under_faces
+from simplat import Simplex, close_under_faces, generate_complex
 from simplat.ehrhart import hstar
 from simplat.geometry import hermite_normal_form, membership_certificate
 from simplat.errors import InputError, SimplatError, check_int
@@ -324,6 +325,18 @@ def moved_complex(c, rng: random.Random, shift):
                                        for row, b in zip(matrix, shift))
     return close_under_faces([[new_index[i] for i in f] for f in c.maximal_faces],
                              vertices, ambient_dim=c.ambient_dim)
+
+
+@st.composite
+def moved_generated_complexes(draw):
+    """A generated complex in dimension 1-4 under a random unimodular map
+    and shift, its vertex indices shuffled."""
+    dim = draw(st.integers(1, 4))
+    grid = draw(st.integers(1, (4, 3, 2, 1)[dim - 1]))
+    keep = draw(st.sampled_from((0, Fraction(1, 4), Fraction(1, 2), 1)))
+    c = generate_complex(dim, grid, keep, seed=draw(st.integers(0, 2**16)))
+    shift = draw(st.tuples(*[st.integers(-10**6, 10**6)] * dim))
+    return moved_complex(c, random.Random(draw(st.integers(0, 2**16))), shift)
 
 
 def random_simplex(rng: random.Random, ambient: int, coord_max: int = 3,

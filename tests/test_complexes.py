@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplat import (SimplicialComplex, close_under_faces, count_complex,
                      count_complex_additive, euler_characteristic, exactlp,
                      generate_complex, geometry, summarize, validate)
 from simplat.errors import InputError, ValidationError
 
-from helpers import HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC
+from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
+                     moved_generated_complexes)
 
 
 def from_doc(doc):
@@ -81,9 +86,10 @@ class TestClosure:
 
 
 class TestConstruction:
-    """A directly built SimplicialComplex checks its own vertices, so no
-    path past the constructor sees a float or a point of the wrong
-    dimension."""
+    """A directly built SimplicialComplex checks its own vertices and
+    faces, closes the faces under subsets and certifies the maximal ones,
+    so no path past the constructor sees a float, a point of the wrong
+    dimension, a bad index or a degenerate face."""
 
     SEGMENT = frozenset({frozenset({0}), frozenset({1}), frozenset({0, 1})})
     POINTS = frozenset({frozenset({0}), frozenset({1})})
@@ -107,6 +113,37 @@ class TestConstruction:
         assert c.vertices == ((0, 0), (1, 0))
         assert c == close_under_faces([[0, 1]], [[0, 0], [1, 0]])
 
+    TRIANGLE = ((0, 0), (1, 0), (0, 1))
+    INDEX_CHECKS = {
+        "SimplicialComplex": lambda v, bad: SimplicialComplex(2, v, [(0, bad)]),
+        "close_under_faces": lambda v, bad: close_under_faces([[0, bad]], v),
+        # the edge {0, 1} is not in the face table until first asked for
+        "simplex": lambda v, bad: close_under_faces([[0, 1, 2]], v).simplex((0, bad)),
+        "translation_class": lambda v, bad: close_under_faces(
+            [[0, 1, 2]], v).translation_class((0, bad)),
+    }
+
+    @pytest.mark.parametrize("entry", INDEX_CHECKS)
+    @pytest.mark.parametrize("bad", ["a", None, 1.0, True, -1, len(TRIANGLE)])
+    def test_bad_index_is_an_input_error(self, entry, bad):
+        # never a TypeError from sorting or indexing, never a wrapped -1
+        with pytest.raises(InputError):
+            self.INDEX_CHECKS[entry](self.TRIANGLE, bad)
+
+    @given(moved_generated_complexes(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_generating_set_gives_the_complex(self, c, data):
+        rng = random.Random(data.draw(st.integers(0, 2**16)))
+        generators = {frozenset(f) for f in c.maximal_faces}
+        generators |= {f for f in c.faces if rng.random() < 0.5}
+        assert SimplicialComplex(c.ambient_dim, c.vertices, generators) == c
+        # a third point on the line through vertices 0 and 1
+        a, b = c.vertices[0], c.vertices[1]
+        vertices = c.vertices + (tuple(2 * y - x for x, y in zip(a, b)),)
+        face = [0, 1, len(c.vertices)]
+        with pytest.raises(ValidationError, match=re.escape(f"face {face} is degenerate")):
+            SimplicialComplex(c.ambient_dim, vertices, generators | {frozenset(face)})
+
 
 class TestFaceTable:
     def test_repeated_calls_return_one_object(self):
@@ -121,12 +158,12 @@ class TestFaceTable:
     def test_out_of_range_index_still_raises(self):
         c = from_doc(UNIT_SQUARE_DOC)
         c.simplex((0, 1, 2))
-        for bad, named in (((0, 4), 4), ((0, -1), -1), ((9,), 9)):
+        for bad in ((0, 4), (0, -1), (9,)):
             with pytest.raises(InputError):
                 c.simplex(bad)
             with pytest.raises(InputError):
                 c.simplex(bad)  # a failed build leaves no entry behind
-            with pytest.raises(InputError, match=f"vertex index {named} out"):
+            with pytest.raises(InputError, match=re.escape(f"{list(bad)} is not a face")):
                 c.translation_class(bad)  # -1 would wrap to the last vertex
 
     def test_equality_and_hash_ignore_the_table(self):
@@ -149,10 +186,9 @@ class TestValidate:
                            frozenset({0, 2}), frozenset({0}), frozenset({1}),
                            frozenset({2})})  # {1, 2} left out
         c = SimplicialComplex(2, ((0, 0), (1, 0), (0, 1)), faces)
-        report = validate(c)
-        assert not report.passed
-        assert ((0, 1, 2), (1, 2)) in report.closure_failures
-        assert "subset" in report.describe()
+        assert frozenset({1, 2}) in c.faces
+        assert c == close_under_faces([[0, 1, 2]], ((0, 0), (1, 0), (0, 1)))
+        assert validate(c).passed
 
     def test_duplicate_vertices(self):
         c = close_under_faces([[0], [1]], [(0, 0), (0, 0)])
@@ -164,9 +200,8 @@ class TestValidate:
         faces = frozenset({frozenset({0, 1, 2}), frozenset({0, 1}),
                            frozenset({0, 2}), frozenset({1, 2}), frozenset({0}),
                            frozenset({1}), frozenset({2})})
-        c = SimplicialComplex(2, ((0, 0), (1, 1), (2, 2)), faces)
-        report = validate(c)
-        assert report.affine_failures == ((0, 1, 2),)
+        with pytest.raises(ValidationError, match=re.escape("face [0, 1, 2] is degenerate")):
+            SimplicialComplex(2, ((0, 0), (1, 1), (2, 2)), faces)
 
     def test_improper_overlap(self):
         c = close_under_faces([[0, 1, 2], [0, 1, 3]],

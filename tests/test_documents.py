@@ -3,20 +3,17 @@
 from __future__ import annotations
 
 import json
-import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from simplat import close_under_faces, generate_complex
+from simplat import close_under_faces
 from simplat.documents import (MAX_AMBIENT_DIM, MAX_SAFE_INT,
                                complex_to_document, document_to_json,
                                load_complex, parse_document, read_document)
 from simplat.errors import InputError, ParseError, ValidationError
 
-from helpers import L_SHAPE_DOC, UNIT_SQUARE_DOC, moved_complex
+from helpers import L_SHAPE_DOC, UNIT_SQUARE_DOC, moved_generated_complexes
 
 TRIANGLE_DOC = {
     "ambient_dim": 2,
@@ -158,18 +155,6 @@ class TestSerialize:
         c = close_under_faces([[0, 1]], [(0,), (MAX_SAFE_INT + 1,)])
         with pytest.raises(ParseError):
             complex_to_document(c).as_dict()
-
-
-@st.composite
-def moved_generated_complexes(draw):
-    """A generated complex in dimension 1-4 under a random unimodular map
-    and shift, its vertex indices shuffled."""
-    dim = draw(st.integers(1, 4))
-    grid = draw(st.integers(1, (4, 3, 2, 1)[dim - 1]))
-    keep = draw(st.sampled_from((0, Fraction(1, 4), Fraction(1, 2), 1)))
-    c = generate_complex(dim, grid, keep, seed=draw(st.integers(0, 2**16)))
-    shift = draw(st.tuples(*[st.integers(-10**6, 10**6)] * dim))
-    return moved_complex(c, random.Random(draw(st.integers(0, 2**16))), shift)
 
 
 class TestRoundTrip:

@@ -32,6 +32,7 @@ ENTRY_POINTS = {
     "floor_log.x": (lambda v: floor_log(2, v), "x", 0),
     "factorize.n": (factorize, "n", 1),
     "dilation_plan.dim": (lambda v: dilation_plan(v, 6), "dim", 0),
+    "dilation_plan.modulus": (lambda v: dilation_plan(3, v), "modulus", 1),
     "binomial.a": (lambda v: binomial(v, 2), "a", None),
     "binomial.b": (lambda v: binomial(5, v), "b", -1),
     "padic_valuation.m": (lambda v: padic_valuation(v, 2), "m", None),

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -153,26 +154,16 @@ class TestRunVerify:
 
 
 def direct_complex(maximal, vertices):
-    """A SimplicialComplex built without close_under_faces, so its index
-    sets are not checked: every nonempty subset of each maximal set."""
-    faces = {frozenset(sub) for face in maximal
-             for r in range(1, len(face) + 1) for sub in combinations(face, r)}
-    return SimplicialComplex(2, tuple(vertices), frozenset(faces))
-
-
-def first_bad_index(faces, nverts):
-    """The least out-of-range index of the first face, in the order given,
-    that has one: the index its error names."""
-    for face in faces:
-        bad = [i for i in sorted(face) if not 0 <= i < nverts]
-        if bad:
-            return bad[0]
-    raise AssertionError("no face has an index out of range")
+    """A SimplicialComplex built from the maximal sets without
+    close_under_faces: the constructor checks, closes and certifies them
+    as it does any face set."""
+    return SimplicialComplex(2, tuple(vertices), frozenset(map(frozenset, maximal)))
 
 
 class TestErrorPaths:
-    """Errors from a directly constructed complex, on the additive count and
-    on run_verify: each names the first failing face."""
+    """Errors from a directly constructed complex: a bad index at
+    construction, a class over the volume budget on the additive count
+    and on run_verify."""
 
     # two unit triangles far apart: translates of each other
     VERTICES = ((0, 0), (1, 0), (0, 1), (5, 5), (6, 5), (5, 6))
@@ -181,16 +172,13 @@ class TestErrorPaths:
                                        ((-1, 2), (4, 8)), ((1, 6, -2),)])
     def test_index_out_of_range(self, extra):
         # -1 would silently wrap to the last vertex under plain indexing
-        c = direct_complex(((0, 1, 2), (3, 4, 5)) + extra, self.VERTICES)
-        n = len(self.VERTICES)
-        want = f"vertex index {first_bad_index(c.faces, n)} out of range"
-        with pytest.raises(InputError, match=want):
-            count_complex_additive(c, 5)
-        # run_verify estimates the enumeration over the sorted maximal faces
-        # first, so the first of those with a bad index is named
-        want = f"vertex index {first_bad_index(c.maximal_faces, n)} out of range"
-        with pytest.raises(InputError, match=want):
-            run_verify(c, 2)
+        with pytest.raises(InputError, match="out of range in face") as info:
+            direct_complex(((0, 1, 2), (3, 4, 5)) + extra, self.VERTICES)
+        index, face = re.fullmatch(r"vertex index (-?\d+) out of range in face (\[.*\])",
+                                   str(info.value)).groups()
+        assert frozenset(json.loads(face)) in map(frozenset, extra)
+        assert int(index) in json.loads(face)
+        assert not 0 <= int(index) < len(self.VERTICES)
 
     def test_class_over_the_volume_budget(self):
         # normalized volumes 16e6 and 25e6, the second class twice
@@ -256,6 +244,15 @@ class TestProbe:
         report = probe_dilations(c, 6, 60)
         assert [(r.dilation, r.count) for r in report.rows] == [
             (t, (2 * t + 1) ** 3) for t in range(1, 61)]
+
+    def test_one_method_for_every_row(self):
+        # an improper complex, where the additive count counts the overlap
+        # of the two triangles twice; the box estimate passes the budget
+        # only from t = 58 on, so the rows below it test the one method
+        c = close_under_faces([[0, 1, 2], [0, 1, 3]], [(0, 0), (2, 0), (0, 2), (1, 1)])
+        report = probe_dilations(c, 6, 60)
+        assert [r.count for r in report.rows] == [
+            count_complex_additive(c, t) for t in range(1, 61)]
 
     def test_rejects_bad_tmax(self):
         with pytest.raises(InputError):
