@@ -1,6 +1,7 @@
 """Command-line interface.
 
-JSON reports go to stdout, human-readable summaries to stderr.  Exit codes:
+JSON reports go to stdout, printed by report.to_json, and human-readable
+summaries to stderr.  Exit codes:
 0 = all verdicts pass, 1 = a mathematical verdict failed, 2 = input or
 validation error, 3 = resource envelope exceeded, 4 = internal error (an
 internal cross-check failed, which signals a bug).
@@ -9,7 +10,6 @@ internal cross-check failed, which signals a bug).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +21,7 @@ from .errors import InputError, IntegrityError, ResourceLimitError, ValidationEr
 from .geometry import Simplex
 from .complexes import generate_complex
 from .numtheory import dilation_plan
+from .report import to_json
 from .verify import (VERIFY_ENUMERATION_BUDGET, probe_dilations, run_fuzz,
                      run_verify)
 
@@ -31,8 +32,8 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(payload) -> None:
+    print(to_json(payload))
 
 
 def _note(message: str) -> None:
@@ -43,13 +44,18 @@ def _load(path: str):
     return load_complex(read_document(path))
 
 
-def _document_simplex(doc, index: int) -> Simplex:
-    if not 0 <= index < len(doc.maximal_simplices):
+def _document_simplex(args) -> tuple[Simplex, dict]:
+    """The --simplex I-th maximal simplex of the document, and the payload
+    keys that name it."""
+    doc = read_document(args.file)
+    if not 0 <= args.simplex < len(doc.maximal_simplices):
         raise InputError(
-            f"--simplex {index} out of range; document has "
+            f"--simplex {args.simplex} out of range; document has "
             f"{len(doc.maximal_simplices)} maximal simplices")
-    face = sorted(doc.maximal_simplices[index])
-    return Simplex(tuple(doc.vertices[i] for i in face))
+    face = sorted(doc.maximal_simplices[args.simplex])
+    s = Simplex(tuple(doc.vertices[i] for i in face))
+    return s, {"object_id": Path(args.file).stem, "simplex": args.simplex,
+               "vertices": s.vertices, "intrinsic_dim": s.intrinsic_dim}
 
 
 def _cmd_count(args) -> int:
@@ -62,42 +68,32 @@ def _cmd_count(args) -> int:
         method = "enumeration"
     report = CountReport(object_id=Path(args.file).stem, dilation=args.dilate,
                          count=count, method=method)
-    _emit(report.as_dict())
+    _emit(report)
     _note(f"{count} lattice points at dilation {args.dilate} ({method})")
     return EXIT_PASS
 
 
 def _cmd_ehrhart(args) -> int:
-    doc = read_document(args.file)
-    s = _document_simplex(doc, args.simplex)
+    s, payload = _document_simplex(args)
     poly = ehrhart_polynomial(s)
-    payload = {"object_id": Path(args.file).stem, "simplex": args.simplex,
-               "vertices": [list(v) for v in s.vertices],
-               "intrinsic_dim": s.intrinsic_dim}
-    payload.update(poly.as_dict())
-    _emit(payload)
+    _emit({**payload, **poly.as_dict()})
     _note(f"degree {poly.degree} polynomial, coefficients "
           + ", ".join(str(c) for c in poly.coefficients))
     return EXIT_PASS
 
 
 def _cmd_hstar(args) -> int:
-    doc = read_document(args.file)
-    s = _document_simplex(doc, args.simplex)
+    s, payload = _document_simplex(args)
     entries = list(hstar(s).entries)
-    payload = {"object_id": Path(args.file).stem, "simplex": args.simplex,
-               "vertices": [list(v) for v in s.vertices],
-               "intrinsic_dim": s.intrinsic_dim,
-               "coefficients": [str(c) for c in ehrhart_polynomial(s).coefficients],
-               "hstar": entries}
-    _emit(payload)
+    _emit({**payload, "hstar": entries,
+           "coefficients": [str(c) for c in ehrhart_polynomial(s).coefficients]})
     _note(f"h* = {entries} (sum {sum(entries)})")
     return EXIT_PASS
 
 
 def _cmd_tmin(args) -> int:
     plan = dilation_plan(args.dim, args.modulus)
-    _emit(plan.as_dict())
+    _emit(plan)
     _note(f"dilation {plan.dilation} guarantees the congruence mod "
           f"{plan.modulus} in dimension {plan.dim}")
     return EXIT_PASS
@@ -106,7 +102,7 @@ def _cmd_tmin(args) -> int:
 def _cmd_verify(args) -> int:
     complex_ = _load(args.file)
     report = run_verify(complex_, args.modulus, input_id=Path(args.file).stem)
-    _emit(report.as_dict())
+    _emit(report)
     sub_failures = sum(1 for r in report.subchecks if not r.passed)
     _note(f"count {report.count} ≡ {report.count_residue}, euler {report.euler} "
           f"≡ {report.euler_residue} (mod {report.modulus}) at dilation "
@@ -118,7 +114,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     summary = run_fuzz(args.dim, args.grid, args.modulus, args.trials, args.seed)
-    _emit(summary.as_dict())
+    _emit(summary)
     _note(f"{summary.passes}/{summary.trials} trials passed at dilation "
           f"{summary.dilation} (mod {summary.modulus})")
     return EXIT_PASS if summary.passed else EXIT_VERDICT_FAIL
@@ -145,7 +141,7 @@ def _cmd_probe(args) -> int:
     complex_ = _load(args.file)
     report = probe_dilations(complex_, args.modulus, args.tmax,
                              input_id=Path(args.file).stem)
-    _emit(report.as_dict())
+    _emit(report)
     good = [row.dilation for row in report.rows if row.congruent]
     _note(f"congruent dilations up to {args.tmax}: {good} "
           f"(planned dilation {report.planned_dilation})")

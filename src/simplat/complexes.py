@@ -14,6 +14,7 @@ from operator import sub
 from .errors import InputError, ValidationError, check_int, is_int
 from .geometry import (LatticePoint, Simplex, as_lattice_point, bounding_box,
                        intersection_is_common_face)
+from .report import Report
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,11 @@ class SimplicialComplex:
     def simplex(self, face) -> Simplex:
         """The geometric simplex of a face of the complex, vertices in
         index order, from the face table (InputError for a set that is not
-        a face)."""
+        a face, or whose indices are not all ints, as 1.0 and True)."""
         try:
-            return self._simplices[tuple(sorted(face))]
+            idx = tuple(sorted(face))
+            if all(map(is_int, idx)):  # 1.0 and True would find the key of 1
+                return self._simplices[idx]
         except (KeyError, TypeError):  # not built yet, or indices that do not sort
             pass
         idx = tuple(sorted(self._face(face)))
@@ -116,13 +119,9 @@ class SimplicialComplex:
 
 
 @dataclass(frozen=True)
-class ComplexSummary:
+class ComplexSummary(Report):
     f_vector: tuple[int, ...]
     euler_characteristic: int
-
-    def as_dict(self) -> dict:
-        return {"f_vector": list(self.f_vector),
-                "euler_characteristic": self.euler_characteristic}
 
 
 def close_under_faces(maximal, vertices, ambient_dim: int | None = None) -> SimplicialComplex:
@@ -152,7 +151,7 @@ def summarize(c: SimplicialComplex) -> ComplexSummary:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Report):
     """Outcome of validate(); failures are data, not exceptions."""
 
     duplicate_vertices: tuple[tuple[int, int], ...] = ()
@@ -172,12 +171,8 @@ class ValidationReport:
             lines.append(f"faces {list(a)} and {list(b)} do not intersect in a common face")
         return "; ".join(lines)
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "duplicate_vertices": [list(p) for p in self.duplicate_vertices],
-            "overlap_failures": [[list(a), list(b)] for a, b in self.overlap_failures],
-        }
+    def _form(self) -> dict:
+        return {**super()._form(), "passed": self.passed}
 
 
 def _overlapping_boxes(boxes) -> list[tuple[int, int]]:

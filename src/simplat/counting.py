@@ -27,20 +27,17 @@ from operator import mul
 from .complexes import SimplicialComplex
 from .errors import ResourceLimitError, check_int
 from .geometry import Simplex, bounding_box, membership_certificate
+from .report import Report
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
-class CountReport:
+class CountReport(Report):
     object_id: str
     dilation: int
     count: int
     method: str  # "enumeration" or "additive"
-
-    def as_dict(self) -> dict:
-        return {"object_id": self.object_id, "dilation": self.dilation,
-                "count": self.count, "method": self.method}
 
 
 def box_points(s: Simplex, t: int = 1) -> int:

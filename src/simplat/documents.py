@@ -1,5 +1,5 @@
 """JSON complex documents: strict parsing, loading with validation, and
-canonical serialization.
+canonical serialization through report.to_json.
 
 A document is a single JSON object with keys exactly ambient_dim, vertices,
 maximal_simplices.  Coordinates must be integers within the JSON-safe range
@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .complexes import SimplicialComplex, close_under_faces, validate
 from .errors import InputError, ParseError, ValidationError, is_int
+from .report import to_json
 
 DOCUMENT_KEYS = ("ambient_dim", "vertices", "maximal_simplices")
 MAX_SAFE_INT = 2 ** 53 - 1
@@ -128,4 +129,4 @@ def complex_to_document(c: SimplicialComplex) -> ComplexDocument:
 
 def document_to_json(doc: ComplexDocument) -> str:
     """Deterministic JSON text for a document."""
-    return json.dumps(doc.as_dict(), indent=2, sort_keys=True) + "\n"
+    return to_json(doc.as_dict()) + "\n"

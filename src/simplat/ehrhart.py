@@ -27,13 +27,14 @@ from .counting import DEFAULT_ENUMERATION_LIMIT, box_points, count_simplex
 from .errors import InputError, IntegrityError, ResourceLimitError, check_int
 from .geometry import (CACHE_SIZE, LatticePoint, Simplex, _certificate,
                        hermite_normal_form, lattice_class)
-from .numtheory import binomial, check_prime, floor_log
+from .numtheory import binomial, check_prime, exponent_log_floor
+from .report import Report
 
 SUBCHECK_ENUMERATION_BUDGET = 512
 
 
 @dataclass(frozen=True)
-class EhrhartPolynomial:
+class EhrhartPolynomial(Report):
     """Counting polynomial with exact rational coefficients, constant term
     1, and nonzero leading coefficient (degree equals intrinsic dimension
     for simplices)."""
@@ -61,13 +62,12 @@ class EhrhartPolynomial:
             acc = acc * t + c
         return acc
 
-    def as_dict(self) -> dict:
-        return {"degree": self.degree,
-                "coefficients": [str(c) for c in self.coefficients]}
+    def _form(self) -> dict:
+        return {**super()._form(), "degree": self.degree}
 
 
 @dataclass(frozen=True)
-class HStarVector:
+class HStarVector(Report):
     """Coefficients h_0..h_m of the counting polynomial of an m-simplex in
     the binomial basis C(t+m-k, m): nonnegative integers with h_0 = 1 whose
     sum is the normalized volume of the simplex in its own affine lattice,
@@ -89,9 +89,6 @@ class HStarVector:
         sum h_k C(t+k-1, m), by Ehrhart-Macdonald reciprocity."""
         m = self.degree
         return sum(h * binomial(t + k - 1, m) for k, h in enumerate(self.entries))
-
-    def as_dict(self) -> dict:
-        return {"entries": list(self.entries)}
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -159,7 +156,7 @@ def ehrhart_polynomial(s: Simplex) -> EhrhartPolynomial:
 
 
 @dataclass(frozen=True)
-class SimplexCongruenceReport:
+class SimplexCongruenceReport(Report):
     """Outcome of the per-simplex prime-power check: the count of lattice
     points in p^k * s must be ≡ 1 (mod p^(k - floor(log_p m)))."""
 
@@ -173,14 +170,6 @@ class SimplexCongruenceReport:
     residue: int
     method: str  # "enumeration" or "ehrhart"
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {"vertices": [list(v) for v in self.vertices],
-                "intrinsic_dim": self.intrinsic_dim,
-                "prime": self.prime, "exponent": self.exponent,
-                "log_floor": self.log_floor, "modulus": self.modulus,
-                "count": self.count, "residue": self.residue,
-                "method": self.method, "passed": self.passed}
 
 
 def verify_simplex_congruence(s: Simplex, p: int, k: int) -> SimplexCongruenceReport:
@@ -197,9 +186,7 @@ def verify_simplex_congruence(s: Simplex, p: int, k: int) -> SimplexCongruenceRe
     check_prime(p)
     check_int(k, "k", 1)
     m = s.intrinsic_dim
-    l = floor_log(p, m) if m >= 1 else 0
-    if k <= l:
-        raise InputError(f"k must exceed floor(log_{p}({m})) = {l}, got {k}")
+    l = exponent_log_floor(p, m, k)
     t = p ** k
     if box_points(s, t) <= SUBCHECK_ENUMERATION_BUDGET:
         count = count_simplex(s, t)

@@ -1,6 +1,7 @@
 """Exact integer number theory: factorization, dilation plans, binomials
 with negative upper argument, p-adic valuations, base-p carry counts,
-binomial congruence checks, and CRT combination.
+binomial congruence checks, and CRT combination.  The prime-power checks
+refuse an exponent k <= floor(log_p d) through exponent_log_floor.
 
 Everything is arbitrary-precision int; logarithms are computed by repeated
 multiplication, never by floating point.
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from math import comb, gcd, isqrt
 
 from .errors import InputError, check_int
+from .report import Report
 
 FACTORIZE_BOUND = 10 ** 12
 
@@ -52,8 +54,17 @@ def floor_log(base: int, x: int) -> int:
     return e
 
 
+def exponent_log_floor(p: int, d: int, k: int) -> int:
+    """l = floor(log_p d), with l = 0 for d = 0 (a point simplex), once
+    the exponent k of the dilation p^k exceeds it; InputError otherwise."""
+    l = floor_log(p, d) if d else 0
+    if k <= l:
+        raise InputError(f"k must exceed floor(log_{p}({d})) = {l}, got {k}")
+    return l
+
+
 @dataclass(frozen=True)
-class Factorization:
+class Factorization(Report):
     """Prime factorization as ((p, exponent), ...) with ascending primes."""
 
     factors: tuple[tuple[int, int], ...]
@@ -65,8 +76,8 @@ class Factorization:
             n *= p ** a
         return n
 
-    def as_dict(self) -> dict:
-        return {"factors": [[p, a] for p, a in self.factors], "value": self.value}
+    def _form(self) -> dict:
+        return {**super()._form(), "value": self.value}
 
 
 def factorize(n: int) -> Factorization:
@@ -97,7 +108,7 @@ def factorize(n: int) -> Factorization:
 
 
 @dataclass(frozen=True)
-class PrimeTerm:
+class PrimeTerm(Report):
     """Per-prime ingredients of a dilation plan."""
 
     prime: int
@@ -105,15 +116,9 @@ class PrimeTerm:
     log_floor: int          # floor(log_prime(dim))
     dilation_exponent: int  # modulus_exponent + log_floor
 
-    def as_dict(self) -> dict:
-        return {"prime": self.prime,
-                "modulus_exponent": self.modulus_exponent,
-                "log_floor": self.log_floor,
-                "dilation_exponent": self.dilation_exponent}
-
 
 @dataclass(frozen=True)
-class DilationPlan:
+class DilationPlan(Report):
     """The dilation factor guaranteeing count ≡ χ (mod modulus) in Z^dim:
     t = prod(p ** (a_p + floor(log_p dim))) over the primes p^a_p of the
     modulus."""
@@ -122,11 +127,6 @@ class DilationPlan:
     modulus: int
     terms: tuple[PrimeTerm, ...]
     dilation: int
-
-    def as_dict(self) -> dict:
-        return {"dim": self.dim, "modulus": self.modulus,
-                "terms": [t.as_dict() for t in self.terms],
-                "dilation": self.dilation}
 
 
 def dilation_plan(dim: int, modulus: int) -> DilationPlan:
@@ -195,9 +195,7 @@ def congruence_shift_check(m: int, p: int, k: int, d: int) -> bool:
     check_int(d, "d")
     if not 1 <= m <= d:
         raise InputError(f"m must satisfy 1 <= m <= d, got m={m}, d={d}")
-    l = floor_log(p, d)
-    if k <= l:
-        raise InputError(f"k must exceed floor(log_{p}({d})) = {l}, got {k}")
+    l = exponent_log_floor(p, d, k)
     v = padic_valuation(m, p)
     scale = p ** v
     lhs = (m + p ** k) // scale
@@ -206,7 +204,7 @@ def congruence_shift_check(m: int, p: int, k: int, d: int) -> bool:
 
 
 @dataclass(frozen=True)
-class CongruenceCheck:
+class CongruenceCheck(Report):
     offset: int      # i in C(t + d - i, d)
     upper: int       # t + d - i
     value: int
@@ -214,14 +212,9 @@ class CongruenceCheck:
     expected: int
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {"offset": self.offset, "upper": self.upper, "value": self.value,
-                "residue": self.residue, "expected": self.expected,
-                "passed": self.passed}
-
 
 @dataclass(frozen=True)
-class BinomialCongruenceReport:
+class BinomialCongruenceReport(Report):
     """C(t+d, d) ≡ 1 and C(t+d-i, d) ≡ 0 (mod p^(k-l)) for t = p^k,
     i = 1..d, l = floor(log_p d)."""
 
@@ -236,11 +229,8 @@ class BinomialCongruenceReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def as_dict(self) -> dict:
-        return {"d": self.d, "p": self.p, "k": self.k,
-                "log_floor": self.log_floor, "modulus": self.modulus,
-                "passed": self.passed,
-                "checks": [c.as_dict() for c in self.checks]}
+    def _form(self) -> dict:
+        return {**super()._form(), "passed": self.passed}
 
 
 def verify_binomial_congruences(d: int, p: int, k: int) -> BinomialCongruenceReport:
@@ -250,9 +240,7 @@ def verify_binomial_congruences(d: int, p: int, k: int) -> BinomialCongruenceRep
     check_int(d, "d", 1)
     check_prime(p)
     check_int(k, "k")
-    l = floor_log(p, d)
-    if k <= l:
-        raise InputError(f"k must exceed floor(log_{p}({d})) = {l}, got {k}")
+    l = exponent_log_floor(p, d, k)
     t = p ** k
     modulus = p ** (k - l)
     checks = []

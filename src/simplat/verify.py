@@ -1,6 +1,6 @@
 """End-to-end checks: the dilation congruence count ≡ χ (mod n) on whole
 complexes, per-simplex prime-power sub-checks, deterministic fuzzing over
-generated complexes, and per-dilation probing."""
+generated complexes, and per-dilation probing, each a report.Report."""
 
 from __future__ import annotations
 
@@ -13,13 +13,14 @@ from .documents import complex_to_document
 from .ehrhart import SimplexCongruenceReport, verify_simplex_congruence
 from .errors import check_int
 from .numtheory import DilationPlan, dilation_plan
+from .report import Report
 
 VERIFY_ENUMERATION_BUDGET = 20_000
 FUZZ_KEEP_CYCLE = (Fraction(1), Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Report):
     """One run of the main congruence on one complex."""
 
     input_id: str
@@ -41,14 +42,6 @@ class VerificationReport:
     @property
     def all_passed(self) -> bool:
         return self.passed and all(r.passed for r in self.subchecks)
-
-    def as_dict(self) -> dict:
-        return {"input_id": self.input_id, "modulus": self.modulus,
-                "plan": self.plan.as_dict(), "euler": self.euler,
-                "dilation": self.dilation, "count": self.count,
-                "method": self.method, "count_residue": self.count_residue,
-                "euler_residue": self.euler_residue, "verdict": self.verdict,
-                "subchecks": [r.as_dict() for r in self.subchecks]}
 
 
 def _counter(c: SimplicialComplex, t: int):
@@ -103,21 +96,16 @@ def run_verify(c: SimplicialComplex, n: int, *,
 
 
 @dataclass(frozen=True)
-class FuzzFailure:
+class FuzzFailure(Report):
     trial: int
     sub_seed: int
     keep: str
     document: dict
     report: VerificationReport
 
-    def as_dict(self) -> dict:
-        return {"trial": self.trial, "sub_seed": self.sub_seed,
-                "keep": self.keep, "document": self.document,
-                "report": self.report.as_dict()}
-
 
 @dataclass(frozen=True)
-class FuzzSummary:
+class FuzzSummary(Report):
     dim: int
     grid: int
     modulus: int
@@ -131,13 +119,6 @@ class FuzzSummary:
     @property
     def passed(self) -> bool:
         return self.failures == 0
-
-    def as_dict(self) -> dict:
-        return {"dim": self.dim, "grid": self.grid, "modulus": self.modulus,
-                "trials": self.trials, "seed": self.seed,
-                "dilation": self.dilation, "passes": self.passes,
-                "failures": self.failures,
-                "failed": [f.as_dict() for f in self.failed]}
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -175,19 +156,15 @@ def run_fuzz(dim: int, grid: int, n: int, trials: int, seed: int) -> FuzzSummary
 
 
 @dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(Report):
     dilation: int
     count: int
     count_residue: int
     congruent: bool
 
-    def as_dict(self) -> dict:
-        return {"dilation": self.dilation, "count": self.count,
-                "count_residue": self.count_residue, "congruent": self.congruent}
-
 
 @dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Report):
     """Per-dilation truth table of the congruence for t = 1..t_max."""
 
     input_id: str
@@ -196,12 +173,6 @@ class ProbeReport:
     euler_residue: int
     planned_dilation: int
     rows: tuple[ProbeRow, ...]
-
-    def as_dict(self) -> dict:
-        return {"input_id": self.input_id, "modulus": self.modulus,
-                "euler": self.euler, "euler_residue": self.euler_residue,
-                "planned_dilation": self.planned_dilation,
-                "rows": [r.as_dict() for r in self.rows]}
 
 
 def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,

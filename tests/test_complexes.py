@@ -119,6 +119,9 @@ class TestConstruction:
         "close_under_faces": lambda v, bad: close_under_faces([[0, bad]], v),
         # the edge {0, 1} is not in the face table until first asked for
         "simplex": lambda v, bad: close_under_faces([[0, 1, 2]], v).simplex((0, bad)),
+        # the triangle is in the table, and (0, 1.0, 2) and (0, True, 2) equal its key
+        "simplex_table_hit": lambda v, bad: close_under_faces(
+            [[0, 1, 2]], v).simplex((0, bad, 2)),
         "translation_class": lambda v, bad: close_under_faces(
             [[0, 1, 2]], v).translation_class((0, bad)),
     }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,9 @@ from simplat import (binomial, congruence_shift_check, crt_combine,
                      dilation_plan, factorize, floor_log, is_prime,
                      kummer_carries, padic_valuation,
                      verify_binomial_congruences)
+from simplat.ehrhart import verify_simplex_congruence
 from simplat.errors import InputError
+from simplat.geometry import Simplex
 
 PRIMES = st.sampled_from((2, 3, 5, 7, 11, 13))
 
@@ -195,6 +198,27 @@ class TestShiftCongruence:
             congruence_shift_check(3, 2, 3, 2)  # m > d
         with pytest.raises(InputError):
             congruence_shift_check(1, 2, 1, 2)  # k <= floor(log_2(2))
+
+
+# the three entry points that need k > l = floor(log_p d), each with
+# (p, d, k) in the message; the tetrahedron has intrinsic dimension 3
+EXPONENT_CHECKS = {
+    "congruence_shift_check": (lambda k: congruence_shift_check(1, 2, k, 2), 2, 2),
+    "verify_binomial_congruences": (lambda k: verify_binomial_congruences(4, 2, k), 2, 4),
+    "verify_simplex_congruence": (lambda k: verify_simplex_congruence(
+        Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))), 3, k), 3, 3),
+}
+
+
+@pytest.mark.parametrize("entry", EXPONENT_CHECKS)
+def test_exponent_must_exceed_log_floor(entry):
+    call, p, d = EXPONENT_CHECKS[entry]
+    l = floor_log(p, d)
+    for k in range(1, l + 1):
+        with pytest.raises(InputError, match=re.escape(
+                f"k must exceed floor(log_{p}({d})) = {l}, got {k}")):
+            call(k)
+    call(l + 1)
 
 
 class TestBinomialCongruences:
