@@ -17,6 +17,12 @@ from .geometry import (LatticePoint, Simplex, as_lattice_point, bounding_box,
 from .report import Report
 
 
+def _translation_key(vertices, face) -> tuple[LatticePoint, ...]:
+    """SimplicialComplex.translation_class of a face known to be one."""
+    points = sorted([vertices[i] for i in face])
+    return tuple([tuple(map(sub, p, points[0])) for p in points])
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A finite simplicial complex in Z^ambient_dim: an indexed vertex list
@@ -28,14 +34,25 @@ class SimplicialComplex:
     face is affinely independent (ValidationError naming the least
     degenerate one).  faces becomes the closure of the given sets under
     nonempty subsets.  validate() checks the conditions between faces.
+
+    Maximal faces are grouped by translation class (translation_class).
+    The first face of each class in sorted order, its leader, is the only
+    one built and certified here: a lattice translate is degenerate exactly
+    when its leader is, and has the same bounding-box size and the same
+    lattice-point counts at every dilation, so the library reads those off
+    the leader.  Every other face's Simplex is built on first request.
     """
 
     ambient_dim: int
     vertices: tuple[LatticePoint, ...]
     faces: frozenset[frozenset[int]]
     # the face table: each face's Simplex by sorted index tuple, the
-    # maximal faces' built here and any other on first request
+    # leaders' built here and any other on first request
     _simplices: dict[tuple[int, ...], Simplex] = field(
+        init=False, repr=False, compare=False)
+    # each maximal face's leader, the first face of its translation class
+    # in sorted order (the face itself for a leader)
+    _leaders: dict[tuple[int, ...], tuple[int, ...]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -52,26 +69,32 @@ class SimplicialComplex:
             for r in range(1, len(face) + 1):
                 closed.update(map(frozenset, combinations(face, r)))
         object.__setattr__(self, "faces", frozenset(closed))
-        table = {}
-        for face in self.maximal_faces:
-            try:
-                table[face] = Simplex(tuple(verts[i] for i in face))
-            except ValidationError as exc:
-                raise ValidationError(f"face {list(face)} is degenerate: {exc}") from exc
+        table, leaders, by_class = {}, {}, {}
+        for face in self.maximal_faces:  # sorted, so a leader comes first
+            key = _translation_key(verts, face)
+            leader = leaders[face] = by_class.setdefault(key, face)
+            if leader is face:
+                try:
+                    table[face] = Simplex(tuple([verts[i] for i in face]))
+                except ValidationError as exc:
+                    raise ValidationError(
+                        f"face {list(face)} is degenerate: {exc}") from exc
         object.__setattr__(self, "_simplices", table)
+        object.__setattr__(self, "_leaders", leaders)
 
     def simplex(self, face) -> Simplex:
         """The geometric simplex of a face of the complex, vertices in
-        index order, from the face table (InputError for a set that is not
-        a face, or whose indices are not all ints, as 1.0 and True)."""
-        try:
-            idx = tuple(sorted(face))
-            if all(map(is_int, idx)):  # 1.0 and True would find the key of 1
-                return self._simplices[idx]
-        except (KeyError, TypeError):  # not built yet, or indices that do not sort
-            pass
-        idx = tuple(sorted(self._face(face)))
-        s = self._simplices[idx] = Simplex(tuple(self.vertices[i] for i in idx))
+        index order, from the face table, where a face other than a leader
+        is built on first request (InputError for a set that is not a face,
+        or whose indices are not all ints, as 1.0 and True)."""
+        return self._simplex(tuple(sorted(self._face(face))))
+
+    def _simplex(self, idx: tuple[int, ...]) -> Simplex:
+        """The Simplex of the face with sorted int indices idx, from the
+        face table, built and kept there on a miss; idx is not checked."""
+        s = self._simplices.get(idx)
+        if s is None:
+            s = self._simplices[idx] = Simplex(tuple([self.vertices[i] for i in idx]))
         return s
 
     def translation_class(self, face) -> tuple[LatticePoint, ...]:
@@ -81,10 +104,10 @@ class SimplicialComplex:
         other, which changes none of the lattice-point counts of its
         dilations, so counts can be shared per class.  It costs a few
         subtractions, where the lattice class (geometry.lattice_class)
-        needs the face's Simplex and its certificate.
+        needs the face's Simplex and its certificate.  Construction keys
+        each maximal face by it to find the leaders.
         """
-        points = sorted([self.vertices[i] for i in self._face(face)])
-        return tuple([tuple(map(sub, p, points[0])) for p in points])
+        return _translation_key(self.vertices, self._face(face))
 
     def _face(self, face):
         """face, if it is a face of the complex with int indices; else InputError."""
@@ -206,7 +229,7 @@ def validate(c: SimplicialComplex) -> ValidationReport:
             seen[pt] = i
 
     faces = c.maximal_faces
-    simplices = [c.simplex(f) for f in faces]
+    simplices = [c._simplex(f) for f in faces]
     overlap_failures = []
     for i, j in _overlapping_boxes([bounding_box(s) for s in simplices]):
         if not intersection_is_common_face(simplices[i], simplices[j]):

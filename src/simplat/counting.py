@@ -13,8 +13,8 @@ int sum h_k C(t+k-1, m) over the face's integer h*-vector h, by
 Ehrhart-Macdonald reciprocity, and h is computed once per lattice class
 (ehrhart.hstar), at a cost that follows the normalized volume.  Faces are
 grouped by translation class first, a key of a few subtractions, and only
-one face per class builds its Simplex and reads h: the lattice class would
-need each face's certificate just to find the key.
+one face per class reads h, from its Simplex: the lattice class would need
+each face's certificate just to find the key.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import product
 from math import prod
 from operator import mul
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _translation_key
 from .errors import ResourceLimitError, check_int
 from .geometry import Simplex, bounding_box, membership_certificate
 from .report import Report
@@ -130,8 +130,11 @@ def count_relative_interior(s: Simplex, t: int) -> int:
 
 
 def enumeration_estimate(c: SimplicialComplex, t: int) -> int:
-    """Total box points count_complex would scan at dilation t."""
-    return sum(box_points(c.simplex(f), t) for f in c.maximal_faces)
+    """Total box points count_complex would scan at dilation t: the sum of
+    every maximal face's box points, each read off the face's leader (see
+    SimplicialComplex), since a lattice translate has a box of the same
+    size."""
+    return sum(box_points(c._simplex(leader), t) for leader in c._leaders.values())
 
 
 def count_complex(c: SimplicialComplex, t: int) -> int:
@@ -146,7 +149,7 @@ def count_complex(c: SimplicialComplex, t: int) -> int:
     if not c.faces:
         return 0
     _check_budget(enumeration_estimate(c, t))
-    simplices = [c.simplex(face) for face in c.maximal_faces]
+    simplices = [c._simplex(face) for face in c.maximal_faces]
     axis = _free_axis([bounding_box(s) for s in simplices], t)
     lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for s in simplices:
@@ -173,18 +176,20 @@ def count_complex_additive(c: SimplicialComplex, t: int) -> int:
     not grow with t.  Faces are grouped by translation class
     (SimplicialComplex.translation_class), since translates have the same
     interior counts: only the first face of each class in c.faces order
-    builds its Simplex and reads h, and every face of the class adds that
-    count.  The lattice class would join more faces, but needs every
-    face's certificate just to read the key.
+    reads h, from its leader's Simplex when it is a maximal face, and every
+    face of the class adds that count.  The lattice class would join more
+    faces, but needs every face's certificate just to read the key.
     """
     check_int(t, "dilation factor", 1)
     from .ehrhart import hstar
     interiors: dict = {}
     total = 0
     for f in c.faces:
-        key = c.translation_class(f)
+        key = _translation_key(c.vertices, f)
         count = interiors.get(key)
         if count is None:
-            count = interiors[key] = hstar(c.simplex(f)).interior(t)
+            idx = tuple(sorted(f))
+            s = c._simplex(c._leaders.get(idx, idx))
+            count = interiors[key] = hstar(s).interior(t)
         total += count
     return total

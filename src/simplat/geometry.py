@@ -71,19 +71,30 @@ def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
     a = [list(r) for r in rows]
     n = len(a[0]) if a else 0
     for j in range(n):
-        while True:  # Euclid on column j over rows j.., ending with one nonzero
-            nonzero = [r for r in range(j, len(a)) if a[r][j]]
-            if not nonzero:
-                raise InputError("matrix does not have full column rank")
-            r = min(nonzero, key=lambda r: abs(a[r][j]))
-            a[j], a[r] = a[r], a[j]
-            if len(nonzero) == 1:
-                break
+        # Euclid on column j over rows j..: the row of least nonzero |entry|
+        # goes to row j and reduces the rows below it, whose remainders are
+        # all smaller, so the next pivot is found in the same pass
+        best, least = j, 0
+        for r in range(j, len(a)):
+            x = abs(a[r][j])
+            if x and (not least or x < least):
+                best, least = r, x
+        if not least:
+            raise InputError("matrix does not have full column rank")
+        while least:
+            a[j], a[best] = a[best], a[j]
             piv = a[j]
+            p = piv[j]
+            best, least = j, 0
             for r in range(j + 1, len(a)):
-                q = a[r][j] // piv[j]
-                if q:
-                    a[r] = [x - q * y for x, y in zip(a[r], piv)]
+                row = a[r]
+                if row[j]:
+                    q = row[j] // p
+                    if q:
+                        row = a[r] = [x - q * y for x, y in zip(row, piv)]
+                    x = abs(row[j])
+                    if x and (not least or x < least):
+                        best, least = r, x
         if a[j][j] < 0:
             a[j] = [-x for x in a[j]]
         piv = a[j]

@@ -4,7 +4,7 @@ generated complexes, and per-dilation probing, each a report.Report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import SimplicialComplex, euler_characteristic, generate_complex
@@ -61,13 +61,13 @@ def run_verify(c: SimplicialComplex, n: int, *,
     prime-power congruence sub-check on every maximal simplex.  The count
     is enumerated or additive as _counter chooses.
 
-    Sub-checks run once per translation class of maximal faces
-    (SimplicialComplex.translation_class): a lattice translate of s
+    Sub-checks run once per translation class of maximal faces, on the
+    class's leader (see SimplicialComplex): a lattice translate of s
     shifts p^k*s by a lattice vector, which changes neither its count
     nor the box that picks the method.  Every later face of a class gets
-    the first face's reports with its own vertices, in the same order.
-    Grouping by lattice class instead would need every face's
-    certificate just to read the key.
+    the leader's reports with its own vertices, in the same order, and
+    its Simplex is never built.  Grouping by lattice class instead would
+    need every face's certificate just to read the key.
     """
     plan = dilation_plan(c.ambient_dim, n)
     t = plan.dilation
@@ -75,16 +75,22 @@ def run_verify(c: SimplicialComplex, n: int, *,
     counter, method = _counter(c, t)
     count = counter(c, t)
     subchecks = []
-    by_class: dict = {}
-    for face in c.maximal_faces:
-        s = c.simplex(face)
-        key = c.translation_class(face)
-        reports = by_class.get(key)
+    by_leader: dict = {}
+    for face in c.maximal_faces:  # sorted, so a leader comes first
+        reports = by_leader.get(c._leaders[face])
         if reports is None:
-            reports = by_class[key] = [
+            s = c._simplex(face)
+            reports = by_leader[face] = [
                 verify_simplex_congruence(s, term.prime, term.dilation_exponent)
                 for term in plan.terms]
-        subchecks.extend(replace(r, vertices=s.vertices) for r in reports)
+            subchecks.extend(reports)
+        else:
+            vertices = tuple([c.vertices[i] for i in face])
+            subchecks.extend(SimplexCongruenceReport(
+                vertices=vertices, intrinsic_dim=r.intrinsic_dim, prime=r.prime,
+                exponent=r.exponent, log_floor=r.log_floor, modulus=r.modulus,
+                count=r.count, residue=r.residue, method=r.method,
+                passed=r.passed) for r in reports)
     count_residue = count % n
     euler_residue = euler % n
     return VerificationReport(

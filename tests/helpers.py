@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 import sympy
 from hypothesis import strategies as st
@@ -195,6 +195,16 @@ def facewise_additive(c, t: int) -> int:
     return sum(hstar(c.simplex(f)).interior(t) for f in c.faces)
 
 
+def facewise_estimate(c, t: int) -> int:
+    """The box points count_complex would scan at dilation t, summed over
+    every maximal face with its box read off its own vertex points."""
+    total = 0
+    for face in c.maximal_faces:
+        columns = list(zip(*(c.vertices[i] for i in face)))
+        total += prod((max(x) - min(x)) * t + 1 for x in columns)
+    return total
+
+
 def translation_class_count(c) -> int:
     """Number of classes of the faces of c under lattice translation.
 
@@ -264,6 +274,40 @@ def fraction_certificate(vertices):
     edges = [[v[i] - v0[i] for v in vertices[1:]] for i in range(d)]
     key = tuple(zip(*hermite_normal_form(edges)))
     return cert[:k], cert[k:], tuple(denoms[:k]), key
+
+
+# ---------------------------------------------------------------------------
+# Hermite normal form oracle: the library's loop before each Euclid round
+# found its next pivot while reducing, rebuilding the nonzero rows and
+# taking their min instead
+
+def euclid_hnf(rows) -> tuple[tuple[int, ...], ...]:
+    """Top block of the row Hermite normal form of an integer matrix of
+    full column rank (InputError otherwise), as hermite_normal_form."""
+    a = [list(r) for r in rows]
+    n = len(a[0]) if a else 0
+    for j in range(n):
+        while True:  # Euclid on column j over rows j.., ending with one nonzero
+            nonzero = [r for r in range(j, len(a)) if a[r][j]]
+            if not nonzero:
+                raise InputError("matrix does not have full column rank")
+            r = min(nonzero, key=lambda r: abs(a[r][j]))
+            a[j], a[r] = a[r], a[j]
+            if len(nonzero) == 1:
+                break
+            piv = a[j]
+            for r in range(j + 1, len(a)):
+                q = a[r][j] // piv[j]
+                if q:
+                    a[r] = [x - q * y for x, y in zip(a[r], piv)]
+        if a[j][j] < 0:
+            a[j] = [-x for x in a[j]]
+        piv = a[j]
+        for r in range(j):
+            q = a[r][j] // piv[j]
+            if q:
+                a[r] = [x - q * y for x, y in zip(a[r], piv)]
+    return tuple(tuple(r) for r in a[:n])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from simplat import (SimplicialComplex, close_under_faces, count_complex,
 from simplat.errors import InputError, ValidationError
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
-                     moved_generated_complexes)
+                     moved_complex, moved_generated_complexes)
 
 
 def from_doc(doc):
@@ -146,6 +146,40 @@ class TestConstruction:
         face = [0, 1, len(c.vertices)]
         with pytest.raises(ValidationError, match=re.escape(f"face {face} is degenerate")):
             SimplicialComplex(c.ambient_dim, vertices, generators | {frozenset(face)})
+
+
+class TestLeaders:
+    """Construction builds and certifies one Simplex per translation class
+    of maximal faces, the first face of the class in sorted order."""
+
+    # three collinear triples: [0, 1, 2] and its translate [6, 7, 8], listed
+    # first, and [3, 4, 5], of another class; [9, 10, 11] is a triangle
+    VERTICES = [(0, 0), (1, 1), (2, 2), (0, 5), (1, 5), (2, 5),
+                (7, 3), (8, 4), (9, 5), (0, 9), (1, 9), (0, 10)]
+
+    @pytest.mark.parametrize("listing", [
+        [[6, 7, 8], [3, 4, 5], [0, 1, 2], [9, 10, 11]],
+        [[9, 10, 11], [6, 7, 8], [0, 1, 2], [3, 4, 5]],
+        [[3, 4, 5], [8, 7, 6], [2, 1, 0]],
+    ])
+    def test_error_names_the_least_degenerate_face(self, listing):
+        with pytest.raises(ValidationError, match=re.escape(
+                "face [0, 1, 2] is degenerate: vertices are affinely dependent: "
+                "((0, 0), (1, 1), (2, 2))")):
+            close_under_faces(listing, self.VERTICES)
+
+    def test_moved_grid_certifies_one_face_per_class(self):
+        # the 50 triangles of the whole grid-5 are translates of 2 shapes
+        base = generate_complex(2, 5, 1, seed=0)
+        for seed, shift in ((1, (10**6, -10**6)), (2, (-10**6 + 3, 10**6))):
+            geometry._certificate.cache_clear()
+            c = moved_complex(base, random.Random(seed), shift)
+            assert geometry._certificate.cache_info().misses == 2
+            assert len(c.maximal_faces) == 50
+            assert len(set(c._leaders.values())) == 2
+            for face in c.maximal_faces:  # the others are built on request
+                assert c.simplex(face).vertices == tuple(c.vertices[i] for i in face)
+            assert geometry._certificate.cache_info().misses == 50
 
 
 class TestFaceTable:

@@ -17,7 +17,8 @@ from simplat import (Simplex, box_points, close_under_faces, count_complex,
 from simplat.errors import InputError, ResourceLimitError, ValidationError
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
-                     facewise_additive, hollow_triangle_count, l_shape_count,
+                     facewise_additive, facewise_estimate,
+                     hollow_triangle_count, l_shape_count,
                      moved_complex, random_simplex, scan_points, square_count,
                      sympy_barycentric, translation_class_count, union_count)
 
@@ -297,6 +298,20 @@ class TestGroupedAdditiveCount:
         # wrong sum; one that splits translates shares no work
         assert (len({c.translation_class(f) for f in c.faces})
                 == translation_class_count(c))
+
+
+class TestEstimateByLeader:
+    """enumeration_estimate, which reads each maximal face's box off the
+    leader of its translation class, against every face's own box."""
+
+    @given(additive_cases())
+    @example(grid_case(2, 5, 1, (10**6, -10**6), 60))
+    @example((complex_of([simplex((0, 0), (3, 0), (0, 2)), simplex((4, 1), (1, 1), (1, 3)),
+                          simplex((1, 1), (4, 1), (1, 3))]), 7))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_facewise_estimate(self, case):
+        c, t = case
+        assert enumeration_estimate(c, t) == facewise_estimate(c, t)
 
 
 class TestLinesMatchPointScan:

@@ -6,16 +6,17 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simplat import (Simplex, barycentric_coordinates, bounding_box,
                      contains_point, dilate, intersection_is_common_face)
 from simplat.errors import InputError, ValidationError
-from simplat.geometry import _certificate, _common_face_lp
+from simplat.geometry import _certificate, _common_face_lp, hermite_normal_form
 
-from helpers import (fraction_certificate, random_simplex, sympy_barycentric,
-                     sympy_contains, triangle_contains)
+from helpers import (euclid_hnf, fraction_certificate, random_simplex,
+                     sympy_barycentric, sympy_contains, triangle_contains)
 
 UNIT_TRIANGLE = Simplex(((0, 0), (1, 0), (0, 1)))
 
@@ -74,6 +75,39 @@ class TestCertificate:
     @settings(max_examples=300, deadline=None)
     def test_integer_rows_match_fraction_elimination(self, vertices):
         assert _certificate.__wrapped__(vertices) == fraction_certificate(vertices)
+
+
+@st.composite
+def integer_matrices(draw):
+    """An m x n integer matrix, n = 1..4 and m = n..n+2, of full column
+    rank: entries in [-3, 3], in [-40, 40] or near +-10^6, with the
+    rank-deficient draws rejected."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, n + 2))
+    entry = draw(st.sampled_from((st.integers(-3, 3), st.integers(-40, 40),
+                                  st.integers(10**6 - 9, 10**6 + 9),
+                                  st.integers(-10**6 - 9, -10**6 + 9))))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    assume(sympy.Matrix(rows).rank() == n)
+    return rows
+
+
+class TestHermiteNormalForm:
+    @given(integer_matrices())
+    @example([[0], [6], [-4]])  # pivot below a zero, negative remainders
+    @example([[2, 4], [4, 7], [6, 13]])
+    @example([[10**6, 1], [10**6 + 1, 1]])  # unimodular, large entries
+    @settings(max_examples=300, deadline=None)
+    def test_matches_euclid_oracle(self, rows):
+        assert hermite_normal_form(rows) == euclid_hnf(rows)
+
+    @pytest.mark.parametrize("rows", [[[0], [0]], [[1, 2], [2, 4], [3, 6]],
+                                      [[0, 1], [0, 5]]])
+    def test_rank_deficient_is_an_input_error(self, rows):
+        for hnf in (hermite_normal_form, euclid_hnf):
+            with pytest.raises(InputError, match="full column rank"):
+                hnf(rows)
 
 
 class TestSimplexConstruction:

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplat import (SimplicialComplex, close_under_faces,
-                     count_complex_additive, generate_complex,
+                     count_complex_additive, generate_complex, geometry,
                      probe_dilations, run_fuzz, run_verify)
 from simplat.documents import load_complex
-from simplat.ehrhart import verify_simplex_congruence
+from simplat.ehrhart import _class_hstar, verify_simplex_congruence
 from simplat.errors import InputError, ResourceLimitError
 from simplat.numtheory import dilation_plan
 
@@ -129,6 +129,22 @@ class TestRunVerify:
                     assert a == b
                 methods.update(r.method for r in got)
         assert methods == {"enumeration", "ehrhart"}
+
+    def test_moved_grid_builds_one_simplex_per_class(self):
+        # construction certifies the 2 triangle shapes of the whole grid-5;
+        # the additive count then certifies one vertex and 3 edge shapes
+        # and one canonical simplex per lattice class (a point, a primitive
+        # segment, a unimodular triangle), and the sub-checks reuse the
+        # triangles' certificates
+        base = generate_complex(2, 5, 1, seed=0)
+        for seed, shift in ((1, (10**6, -10**6)), (3, (10**6 + 3, 10**6))):
+            geometry._certificate.cache_clear()
+            _class_hstar.cache_clear()
+            c = moved_complex(base, random.Random(seed), shift)
+            assert geometry._certificate.cache_info().misses == 2
+            r = run_verify(c, 60)
+            assert (r.count, r.method, len(r.subchecks)) == (601 ** 2, "additive", 150)
+            assert geometry._certificate.cache_info().misses == 2 + 4 + 3
 
     def test_improper_complex_can_fail(self):
         # segments [0,2] and [1,3] overlap but share no face, so the
