@@ -10,15 +10,16 @@ raises ResourceLimitError.
 The additive counter sums relative-interior counts over all faces, which is
 the designated fast path for large dilations: each interior count is the
 int sum h_k C(t+k-1, m) over the face's integer h*-vector h, by
-Ehrhart-Macdonald reciprocity, and h is computed once per lattice class
-(ehrhart.hstar), at a cost that follows the normalized volume.  Faces are
-grouped by translation class first, a key of a few subtractions, and only
-one face per class reads h, from its Simplex: the lattice class would need
-each face's certificate just to find the key.
+Ehrhart-Macdonald reciprocity, and h is computed once per lattice class,
+at a cost that follows the normalized volume.  A face's translation key
+(its sorted vertex points minus the least one) fixes h, so faces are
+counted per key, and each key's lattice class is read off the key's own
+cached certificate: no Simplex is built.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -26,7 +27,7 @@ from operator import mul
 
 from .complexes import SimplicialComplex, _translation_key
 from .errors import ResourceLimitError, check_int
-from .geometry import Simplex, bounding_box, membership_certificate
+from .geometry import Simplex, _certificate, bounding_box, membership_certificate
 from .report import Report
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
@@ -173,23 +174,14 @@ def count_complex_additive(c: SimplicialComplex, t: int) -> int:
 
     The interior of t*F counts as sum h_k C(t+k-1, m) for the h*-vector h
     of each m-face F (Ehrhart-Macdonald reciprocity), an int whose cost does
-    not grow with t.  Faces are grouped by translation class
-    (SimplicialComplex.translation_class), since translates have the same
-    interior counts: only the first face of each class in c.faces order
-    reads h, from its leader's Simplex when it is a maximal face, and every
-    face of the class adds that count.  The lattice class would join more
-    faces, but needs every face's certificate just to read the key.
+    not grow with t.  Translates share h, so the faces are counted per
+    translation key, and each key adds its count times its faces.  The key
+    is itself a vertex tuple of a translate of the face, never degenerate
+    since construction certifies every maximal face's class, so its lattice
+    class comes from the certificate cache under the key.
     """
     check_int(t, "dilation factor", 1)
-    from .ehrhart import hstar
-    interiors: dict = {}
-    total = 0
-    for f in c.faces:
-        key = _translation_key(c.vertices, f)
-        count = interiors.get(key)
-        if count is None:
-            idx = tuple(sorted(f))
-            s = c._simplex(c._leaders.get(idx, idx))
-            count = interiors[key] = hstar(s).interior(t)
-        total += count
-    return total
+    from .ehrhart import _class_hstar
+    keys = Counter(_translation_key(c.vertices, f) for f in c.faces)
+    return sum(n * _class_hstar(_certificate(key)[3]).interior(t)
+               for key, n in keys.items())

@@ -19,10 +19,11 @@ class ValidationError(SimplatError):
 
 
 class ResourceLimitError(SimplatError):
-    """A computation would go past the library's fixed envelope,
-    counting.DEFAULT_ENUMERATION_LIMIT: an enumeration would scan more box
-    points than that, or a lattice class whose h*-vector is asked for has a
-    larger normalized volume."""
+    """A computation would go past one of the library's fixed envelopes:
+    an enumeration would scan more box points than
+    counting.DEFAULT_ENUMERATION_LIMIT, a lattice class whose h*-vector is
+    asked for has a larger normalized volume, or a probe would count more
+    rows times faces than that, or more rows than verify.PROBE_ROW_LIMIT."""
 
 
 class IntegrityError(SimplatError):

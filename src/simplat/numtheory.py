@@ -27,8 +27,9 @@ def is_prime(n: int) -> bool:
         return True
     if n % 2 == 0:
         return False
+    root = isqrt(n)
     f = 3
-    while f <= isqrt(n):
+    while f <= root:
         if n % f == 0:
             return False
         f += 2
@@ -133,7 +134,9 @@ def dilation_plan(dim: int, modulus: int) -> DilationPlan:
     """Build the per-prime dilation plan for a given ambient dimension and
     target modulus."""
     check_int(dim, "dim", 1)
-    fact = factorize(check_int(modulus, "modulus", 2))
+    if check_int(modulus, "modulus", 2) > FACTORIZE_BOUND:
+        raise InputError(f"modulus exceeds the supported bound {FACTORIZE_BOUND}")
+    fact = factorize(modulus)
     terms = []
     t = 1
     for p, a in fact.factors:

@@ -8,14 +8,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import SimplicialComplex, euler_characteristic, generate_complex
-from .counting import count_complex, count_complex_additive, enumeration_estimate
+from .counting import (DEFAULT_ENUMERATION_LIMIT, count_complex,
+                       count_complex_additive, enumeration_estimate)
 from .documents import complex_to_document
 from .ehrhart import SimplexCongruenceReport, verify_simplex_congruence
-from .errors import check_int
+from .errors import ResourceLimitError, check_int
 from .numtheory import DilationPlan, dilation_plan
 from .report import Report
 
 VERIFY_ENUMERATION_BUDGET = 20_000
+# Most rows one probe counts: 55 times the largest plan for d <= 6 and
+# n <= 30 (1800), so dilations up to a few times a plan stay in reach
+PROBE_ROW_LIMIT = 100_000
 FUZZ_KEEP_CYCLE = (Fraction(1), Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
 
 
@@ -186,9 +190,22 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
     """Count at every dilation 1..t_max and flag which satisfy the
     congruence; exploratory, since the planned dilation is sufficient but
     not always minimal.  All rows use the method _counter picks at t_max,
-    since on an improper complex the two methods differ."""
+    since on an improper complex the two methods differ.
+
+    Before counting, ResourceLimitError refuses a table of more than
+    PROBE_ROW_LIMIT rows, or one whose t_max x len(c.faces) is over
+    DEFAULT_ENUMERATION_LIMIT: each row costs about a pass over the faces.
+    """
     check_int(t_max, "t_max", 1)
     plan = dilation_plan(c.ambient_dim, n)
+    if t_max > PROBE_ROW_LIMIT:
+        raise ResourceLimitError(
+            f"probe would count {t_max} rows, over the cap of {PROBE_ROW_LIMIT}")
+    work = t_max * len(c.faces)
+    if work > DEFAULT_ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"probe would count {t_max} rows x {len(c.faces)} faces = {work} "
+            f"face counts, over the budget of {DEFAULT_ENUMERATION_LIMIT}")
     euler = euler_characteristic(c)
     euler_residue = euler % n
     counter, _ = _counter(c, t_max)

@@ -211,6 +211,13 @@ class TestProbe:
             (1, 4, False), (2, 9, True), (3, 16, False), (4, 25, True)]
         assert payload["planned_dilation"] == 4
 
+    def test_past_the_row_cap_exits_3(self, capsys, square_file):
+        # without the cap this table ran for minutes, its memory climbing
+        code, out, err = run(capsys, "probe", square_file,
+                             "--modulus", "6", "--tmax", "100000000000")
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: probe would count 100000000000 rows")
+
 
 class TestGen:
     def test_document_loads_back(self, capsys, tmp_path):

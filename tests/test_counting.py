@@ -290,6 +290,10 @@ class TestGroupedAdditiveCount:
     @example(grid_case(3, 2, 3, (0, 0, 0), 1))
     @example((complex_of([simplex((0,), (2,)), simplex((1,), (3,)),
                           simplex((2,), (0,))]), 2))
+    # two translates of a triangle of normalized volume 5, listed in index
+    # orders that differ from each other and from their keys' point order
+    @example((complex_of([simplex((0, 0), (3, 1), (1, 2)),
+                          simplex((13, 11), (10, 10), (11, 12))]), 7))
     @settings(max_examples=150, deadline=None)
     def test_matches_facewise_sum(self, case):
         c, t = case

@@ -14,7 +14,8 @@ from simplat import (Simplex, count_complex, count_complex_additive,
 from simplat.documents import load_complex
 from simplat.ehrhart import EhrhartPolynomial, verify_simplex_congruence
 from simplat.errors import InputError, check_int
-from simplat.numtheory import (binomial, congruence_shift_check, crt_combine,
+from simplat.numtheory import (FACTORIZE_BOUND, binomial,
+                               congruence_shift_check, crt_combine,
                                dilation_plan, factorize, floor_log, is_prime,
                                kummer_carries, padic_valuation,
                                verify_binomial_congruences)
@@ -79,6 +80,14 @@ def test_bad_argument_is_named(call, name, bad):
     with pytest.raises(InputError) as info:
         call(bad)
     assert re.search(rf"(?<!\w){re.escape(name)}(?!\w)", str(info.value))
+
+
+def test_modulus_over_the_bound_is_named():
+    # the bound comes from factorize, whose own argument is called n
+    with pytest.raises(InputError) as info:
+        dilation_plan(3, FACTORIZE_BOUND + 1)
+    assert str(info.value) == "modulus exceeds the supported bound 1000000000000"
+    assert dilation_plan(3, FACTORIZE_BOUND).modulus == FACTORIZE_BOUND
 
 
 class TestCheckInt:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from simplat import (SimplicialComplex, close_under_faces,
                      count_complex_additive, generate_complex, geometry,
-                     probe_dilations, run_fuzz, run_verify)
+                     probe_dilations, run_fuzz, run_verify, verify)
 from simplat.documents import load_complex
 from simplat.ehrhart import _class_hstar, verify_simplex_congruence
 from simplat.errors import InputError, ResourceLimitError
@@ -132,10 +133,10 @@ class TestRunVerify:
 
     def test_moved_grid_builds_one_simplex_per_class(self):
         # construction certifies the 2 triangle shapes of the whole grid-5;
-        # the additive count then certifies one vertex and 3 edge shapes
-        # and one canonical simplex per lattice class (a point, a primitive
-        # segment, a unimodular triangle), and the sub-checks reuse the
-        # triangles' certificates
+        # the additive count then certifies each of the 6 translation keys
+        # (a vertex, 3 edges, 2 triangles) and one canonical simplex per
+        # lattice class (a point, a primitive segment, a unimodular
+        # triangle), and the sub-checks reuse the triangles' certificates
         base = generate_complex(2, 5, 1, seed=0)
         for seed, shift in ((1, (10**6, -10**6)), (3, (10**6 + 3, 10**6))):
             geometry._certificate.cache_clear()
@@ -144,7 +145,14 @@ class TestRunVerify:
             assert geometry._certificate.cache_info().misses == 2
             r = run_verify(c, 60)
             assert (r.count, r.method, len(r.subchecks)) == (601 ** 2, "additive", 150)
-            assert geometry._certificate.cache_info().misses == 2 + 4 + 3
+            assert geometry._certificate.cache_info().misses == 2 + 6 + 3
+            # a copy under the same map with another shift has the same
+            # keys and lattice classes: only its 2 leaders are new
+            copy = moved_complex(base, random.Random(seed), (-shift[1], shift[0] + 7))
+            assert geometry._certificate.cache_info().misses == 2 + 6 + 3 + 2
+            r = run_verify(copy, 60)
+            assert (r.count, r.method, len(r.subchecks)) == (601 ** 2, "additive", 150)
+            assert geometry._certificate.cache_info().misses == 2 + 6 + 3 + 2
 
     def test_improper_complex_can_fail(self):
         # segments [0,2] and [1,3] overlap but share no face, so the
@@ -273,3 +281,40 @@ class TestProbe:
     def test_rejects_bad_tmax(self):
         with pytest.raises(InputError):
             probe_dilations(load_complex(UNIT_SQUARE_DOC), 2, 0)
+
+
+class TestProbeEnvelope:
+    """probe_dilations refuses, before counting, a table of more than
+    PROBE_ROW_LIMIT rows or of more than DEFAULT_ENUMERATION_LIMIT rows
+    times faces."""
+
+    def refused_quickly(self, c, t_max, match):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=match):
+            probe_dilations(c, 6, t_max)
+        assert time.perf_counter() - start < 1
+
+    def test_just_past_the_row_cap(self):
+        assert verify.PROBE_ROW_LIMIT == 10**5
+        square = load_complex(UNIT_SQUARE_DOC)
+        self.refused_quickly(square, 10**5 + 1, "over the cap of 100000")
+        self.refused_quickly(square, 10**11, "over the cap of 100000")
+
+    def test_just_past_the_face_budget(self):
+        # 34130 rows x 293 faces = 10,000,090 face counts
+        c = generate_complex(3, 2, 1, 0)
+        assert len(c.faces) == 293 and 34129 * 293 <= 10**7 < 34130 * 293
+        self.refused_quickly(c, 34130, "= 10000090 face counts, over the budget of 10000000")
+
+    def test_at_the_row_cap(self, monkeypatch):
+        monkeypatch.setattr(verify, "PROBE_ROW_LIMIT", 4)
+        square = load_complex(UNIT_SQUARE_DOC)
+        assert [r.count for r in probe_dilations(square, 2, 4).rows] == [4, 9, 16, 25]
+        self.refused_quickly(square, 5, "probe would count 5 rows, over the cap of 4")
+
+    def test_at_the_face_budget(self, monkeypatch):
+        # the unit square has 4 vertices, 5 edges and 2 triangles
+        monkeypatch.setattr(verify, "DEFAULT_ENUMERATION_LIMIT", 4 * 11)
+        square = load_complex(UNIT_SQUARE_DOC)
+        assert [r.count for r in probe_dilations(square, 2, 4).rows] == [4, 9, 16, 25]
+        self.refused_quickly(square, 5, "5 rows x 11 faces = 55 face counts")
