@@ -4,12 +4,14 @@ JSON reports go to stdout, printed by report.to_json, and human-readable
 summaries to stderr.  Exit codes:
 0 = all verdicts pass, 1 = a mathematical verdict failed, 2 = input or
 validation error, 3 = resource envelope exceeded, 4 = internal error (an
-internal cross-check failed, which signals a bug).
+internal cross-check failed, which signals a bug), 5 = stdout was closed
+before the report was written out (as by `| head -1`).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +32,7 @@ EXIT_VERDICT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_STDOUT_CLOSED = 5
 
 
 def _emit(payload) -> None:
@@ -207,7 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the shutdown flush would fail again on what is still buffered
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
     except (InputError, ValidationError) as exc:
         _note(f"error: {exc}")
         return EXIT_INPUT

@@ -7,7 +7,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, permutations, product
 from operator import sub
 
@@ -33,7 +32,9 @@ class SimplicialComplex:
     vertex list (InputError naming the face otherwise), and every maximal
     face is affinely independent (ValidationError naming the least
     degenerate one).  faces becomes the closure of the given sets under
-    nonempty subsets.  validate() checks the conditions between faces.
+    nonempty subsets, and maximal_faces the given sets that no other given
+    set contains, as sorted index tuples in sorted order; one pass over the
+    given sets finds both.  validate() checks the conditions between faces.
 
     Maximal faces are grouped by translation class (translation_class).
     The first face of each class in sorted order, its leader, is the only
@@ -50,30 +51,48 @@ class SimplicialComplex:
     # leaders' built here and any other on first request
     _simplices: dict[tuple[int, ...], Simplex] = field(
         init=False, repr=False, compare=False)
+    # the faces not strictly contained in another face, sorted
+    maximal_faces: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
     # each maximal face's leader, the first face of its translation class
     # in sorted order (the face itself for a leader)
     _leaders: dict[tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False)
+    # each leader's translation key, which every face it leads shares (one
+    # key per class: a key per face would keep a few tuples per face alive
+    # with the complex, which the garbage collector then scans)
+    _keys: dict[tuple[int, ...], tuple[LatticePoint, ...]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_int(self.ambient_dim, "ambient_dim", 1)
         verts = tuple(as_lattice_point(v, self.ambient_dim) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
-        closed: set[frozenset[int]] = set()
+        given: set[frozenset[int]] = set()
+        below: set[frozenset[int]] = set()  # strict subsets of given sets
         for face in self.faces:
             if not face:
                 raise InputError("empty face in the face list")
             for i in face:
                 if not is_int(i) or not 0 <= i < len(verts):
                     raise InputError(f"vertex index {i!r} out of range in face {list(face)}")
-            for r in range(1, len(face) + 1):
-                closed.update(map(frozenset, combinations(face, r)))
-        object.__setattr__(self, "faces", frozenset(closed))
-        table, leaders, by_class = {}, {}, {}
-        for face in self.maximal_faces:  # sorted, so a leader comes first
+            face = frozenset(face)
+            if face not in given:
+                given.add(face)
+                for r in range(1, len(face)):
+                    below.update(map(frozenset, combinations(face, r)))
+        # a face below a given set is not maximal, and every face is a
+        # given set or below one, so the maximal faces are the given sets
+        # that are below no other
+        maximal = tuple(sorted([tuple(sorted(f)) for f in given - below]))
+        object.__setattr__(self, "faces", frozenset(below | given))
+        object.__setattr__(self, "maximal_faces", maximal)
+        table, leaders, keys, by_class = {}, {}, {}, {}
+        for face in maximal:  # sorted, so a leader comes first
             key = _translation_key(verts, face)
             leader = leaders[face] = by_class.setdefault(key, face)
             if leader is face:
+                keys[face] = key
                 try:
                     table[face] = Simplex(tuple([verts[i] for i in face]))
                 except ValidationError as exc:
@@ -81,6 +100,7 @@ class SimplicialComplex:
                         f"face {list(face)} is degenerate: {exc}") from exc
         object.__setattr__(self, "_simplices", table)
         object.__setattr__(self, "_leaders", leaders)
+        object.__setattr__(self, "_keys", keys)
 
     def simplex(self, face) -> Simplex:
         """The geometric simplex of a face of the complex, vertices in
@@ -114,17 +134,6 @@ class SimplicialComplex:
         if frozenset(face) not in self.faces or not all(map(is_int, face)):
             raise InputError(f"{list(face)} is not a face of the complex")
         return face
-
-    @cached_property
-    def maximal_faces(self) -> tuple[tuple[int, ...], ...]:
-        """Faces not strictly contained in another face, sorted."""
-        non_maximal = set()
-        for face in self.faces:
-            if len(face) > 1:
-                for drop in face:
-                    non_maximal.add(face - {drop})
-        out = [tuple(sorted(f)) for f in self.faces if f not in non_maximal]
-        return tuple(sorted(out))
 
     def f_vector(self) -> tuple[int, ...]:
         """Counts of i-dimensional faces, i = 0 .. dim of the complex."""

@@ -6,7 +6,9 @@ cuts the line to an integer interval by floor division (floor-sum counting,
 Beck & Robins, Computing the Continuous Discretely, ch. 1-2).  The cost is
 about box / extent of the free axis x rows, but the budget is still
 measured in box points: a box of over DEFAULT_ENUMERATION_LIMIT points
-raises ResourceLimitError.
+raises ResourceLimitError.  A complex's union count cuts lines once per
+translation class of maximal faces: a translate by v has the lines of its
+class's leader moved by t*v, so every other face only shifts them.
 The additive counter sums relative-interior counts over all faces, which is
 the designated fast path for large dilations: each interior count is the
 int sum h_k C(t+k-1, m) over the face's integer h*-vector h, by
@@ -23,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from operator import mul
+from operator import add, mul
 
 from .complexes import SimplicialComplex, _translation_key
 from .errors import ResourceLimitError, check_int
@@ -144,18 +146,30 @@ def count_complex(c: SimplicialComplex, t: int) -> int:
 
     Every face is cut into integer intervals on the lines of one free axis,
     the one with the fewest lines over all face boxes; the intervals on
-    each line are merged and their lengths summed.
+    each line are merged and their lengths summed.  The lines are cut once
+    per translation class, on its leader (see SimplicialComplex): a face
+    that is the leader moved by v gets the leader's lines moved by t*v, v
+    being the difference of their least vertex points.
     """
     check_int(t, "dilation factor", 1)
     if not c.faces:
         return 0
     _check_budget(enumeration_estimate(c, t))
-    simplices = [c._simplex(face) for face in c.maximal_faces]
-    axis = _free_axis([bounding_box(s) for s in simplices], t)
+    axis = _free_axis([bounding_box(c._simplex(leader))
+                       for leader in c._leaders.values()], t)
+    verts = c.vertices
+    cut: dict[tuple[int, ...], tuple] = {}  # leader -> (least point, lines)
     lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for s in simplices:
-        for fixed, first, last in _lines(s, t, axis, strict=False):
-            lines.setdefault(fixed, []).append((first, last))
+    for face, leader in c._leaders.items():  # sorted, so a leader comes first
+        least = min([verts[i] for i in face])
+        if leader is face:
+            cut[face] = least, list(_lines(c._simplex(face), t, axis, strict=False))
+        origin, leader_lines = cut[leader]
+        shift = [t * (a - b) for a, b in zip(least, origin)]
+        step = shift.pop(axis)
+        for fixed, first, last in leader_lines:
+            lines.setdefault(tuple(map(add, fixed, shift)), []).append(
+                (first + step, last + step))
     total = 0
     for spans in lines.values():
         spans.sort()
@@ -178,10 +192,15 @@ def count_complex_additive(c: SimplicialComplex, t: int) -> int:
     translation key, and each key adds its count times its faces.  The key
     is itself a vertex tuple of a translate of the face, never degenerate
     since construction certifies every maximal face's class, so its lattice
-    class comes from the certificate cache under the key.
+    class comes from the certificate cache under the key.  Construction
+    keeps each class leader's key, so the maximal faces are counted per
+    leader and only the lower faces are keyed here.
     """
     check_int(t, "dilation factor", 1)
     from .ehrhart import _class_hstar
-    keys = Counter(_translation_key(c.vertices, f) for f in c.faces)
+    faces_per_leader = Counter(c._leaders.values())
+    keys = Counter({c._keys[leader]: n for leader, n in faces_per_leader.items()})
+    maximal = set(map(frozenset, c._leaders))
+    keys.update(_translation_key(c.vertices, f) for f in c.faces if f not in maximal)
     return sum(n * _class_hstar(_certificate(key)[3]).interior(t)
                for key, n in keys.items())

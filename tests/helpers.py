@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own code paths: membership
 comes from orientation predicates or sympy's solver, volumes from sympy
 determinants, counts from handwritten inequality scans or, for the
 point-scan oracle, from every point of the box tested against the
-library's membership rows.
+library's membership rows.  The others are the library's own earlier and
+simpler paths, kept as oracles for the faster ones that replaced them.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import sympy
 from hypothesis import strategies as st
 
 from simplat import Simplex, close_under_faces, generate_complex
+from simplat.counting import _check_budget, _free_axis, _lines, enumeration_estimate
 from simplat.ehrhart import hstar
-from simplat.geometry import hermite_normal_form, membership_certificate
+from simplat.geometry import bounding_box, hermite_normal_form, membership_certificate
 from simplat.errors import InputError, SimplatError, check_int
 
 # ---------------------------------------------------------------------------
@@ -180,6 +182,48 @@ def union_count(c, t: int) -> int:
     for face in c.maximal_faces:
         points.update(scan_points(c.simplex(face), t))
     return len(points)
+
+
+# ---------------------------------------------------------------------------
+# union-count oracle: the library's union count before it cut lines once per
+# translation class
+
+def facewise_union_count(c, t: int) -> int:
+    """|t*|c| ∩ Z^d| with every maximal face cut on the lines of the free
+    axis from its own Simplex, and the intervals on each line merged."""
+    check_int(t, "dilation factor", 1)
+    if not c.faces:
+        return 0
+    _check_budget(enumeration_estimate(c, t))
+    simplices = [c.simplex(face) for face in c.maximal_faces]
+    axis = _free_axis([bounding_box(s) for s in simplices], t)
+    lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for s in simplices:
+        for fixed, first, last in _lines(s, t, axis, strict=False):
+            lines.setdefault(fixed, []).append((first, last))
+    total = 0
+    for spans in lines.values():
+        spans.sort()
+        end = spans[0][0] - 1
+        for first, last in spans:
+            if last > end:
+                total += last - max(first, end + 1) + 1
+                end = last
+    return total
+
+
+# ---------------------------------------------------------------------------
+# closure oracle: maximal faces as the library found them before it read
+# them off the closure pass, by dropping one vertex from every face
+
+def closure_maximal_faces(c) -> tuple[tuple[int, ...], ...]:
+    """Faces of c not strictly contained in another face, sorted."""
+    non_maximal = set()
+    for face in c.faces:
+        if len(face) > 1:
+            for drop in face:
+                non_maximal.add(face - {drop})
+    return tuple(sorted(tuple(sorted(f)) for f in c.faces if f not in non_maximal))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,18 @@ from __future__ import annotations
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplat import cli
-from simplat.documents import MAX_SAFE_INT
+from simplat import cli, generate_complex
+from simplat.documents import MAX_SAFE_INT, complex_to_document, document_to_json
 from simplat.errors import IntegrityError
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SEGMENT_DOC,
@@ -293,6 +297,60 @@ class TestTopLevel:
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
         assert err == "internal error: cross-check failed\n"
+
+
+def run_with_stdout_closed(argv, after_lines):
+    """Run simplat in a child process whose stdout is a pipe of one page
+    that this process closes after reading after_lines lines; return the
+    exit code and stderr.
+
+    The report must be longer than the page for the close to be sure to
+    land before the child has written it all: the child then blocks on
+    the full pipe until it is closed.  With after_lines 0 the pipe is
+    closed before the child starts.
+    """
+    fcntl = pytest.importorskip("fcntl")
+    read_end, write_end = os.pipe()
+    if after_lines:
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("the pipe cannot be shrunk below the report's size here")
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    else:
+        os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.Popen([sys.executable, "-m", "simplat.cli", *argv],
+                             stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    if after_lines:
+        with os.fdopen(read_end, "rb", buffering=0) as pipe:
+            for _ in range(after_lines):
+                while pipe.read(1) not in (b"\n", b""):
+                    pass
+    _, err = child.communicate(timeout=120)
+    return child.returncode, err.decode()
+
+
+class TestClosedStdout:
+    """A reader that stops early, as `| head -1`, is not a failed verdict:
+    the run exits with its own code, with no traceback."""
+
+    def test_tmin(self):
+        code, err = run_with_stdout_closed(
+            ["tmin", "--dim", "3", "--modulus", "1000000000000"], 0)
+        assert code == cli.EXIT_STDOUT_CLOSED == 5
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+
+    def test_verify_after_one_line(self, tmp_path):
+        # the whole 2-D grid-5 at n = 6: a report of about 38 KB
+        path = tmp_path / "grid5.json"
+        path.write_text(document_to_json(complex_to_document(
+            generate_complex(2, 5, 1, seed=0))))
+        code, err = run_with_stdout_closed(
+            ["verify", str(path), "--modulus", "6"], 1)
+        assert code == cli.EXIT_STDOUT_CLOSED
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def int_paths(doc):

@@ -17,7 +17,8 @@ from simplat import (SimplicialComplex, close_under_faces, count_complex,
 from simplat.errors import InputError, ValidationError
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
-                     moved_complex, moved_generated_complexes)
+                     closure_maximal_faces, moved_complex,
+                     moved_generated_complexes)
 
 
 def from_doc(doc):
@@ -60,6 +61,30 @@ class TestClosure:
         c = close_under_faces([[0, 1], [2]], [(0, 0), (1, 0), (5, 5)])
         assert c.maximal_faces == ((0, 1), (2,))
         assert c.f_vector() == (3, 1)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_maximal_faces_match_the_drop_one_vertex_pass(self, data):
+        # the vertices are 0 and the first n - 1 unit vectors of Z^k, so
+        # every set of them is affinely independent
+        n = data.draw(st.integers(1, 7))
+        k = max(n - 1, 1)
+        vertices = [tuple(int(i == j + 1) for j in range(k)) for i in range(n)]
+        face = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+        faces = data.draw(st.lists(face, max_size=6))
+        # given faces nested in given faces, repeats in any order, lone vertices
+        for f in list(faces):
+            if data.draw(st.booleans()):
+                faces.append(data.draw(st.lists(st.sampled_from(f), min_size=1,
+                                                max_size=len(f), unique=True)))
+            if data.draw(st.booleans()):
+                faces.append(data.draw(st.permutations(f)))
+        faces += [[i] for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3))]
+        faces = data.draw(st.permutations(faces))
+        c = close_under_faces(faces, vertices)
+        assert c.maximal_faces == closure_maximal_faces(c)
+        assert c.faces == {frozenset(sub) for f in faces
+                           for r in range(1, len(f) + 1) for sub in combinations(f, r)}
 
     def test_empty(self):
         c = close_under_faces([], [], ambient_dim=2)
@@ -177,6 +202,8 @@ class TestLeaders:
             assert geometry._certificate.cache_info().misses == 2
             assert len(c.maximal_faces) == 50
             assert len(set(c._leaders.values())) == 2
+            assert all(c._keys[c._leaders[f]] == c.translation_class(f)
+                       for f in c.maximal_faces)
             for face in c.maximal_faces:  # the others are built on request
                 assert c.simplex(face).vertices == tuple(c.vertices[i] for i in face)
             assert geometry._certificate.cache_info().misses == 50

@@ -15,9 +15,10 @@ from simplat import (Simplex, box_points, close_under_faces, count_complex,
                      count_simplex, dilate, enumeration_estimate,
                      generate_complex)
 from simplat.errors import InputError, ResourceLimitError, ValidationError
+from simplat.numtheory import dilation_plan
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
-                     facewise_additive, facewise_estimate,
+                     facewise_additive, facewise_estimate, facewise_union_count,
                      hollow_triangle_count, l_shape_count,
                      moved_complex, random_simplex, scan_points, square_count,
                      sympy_barycentric, translation_class_count, union_count)
@@ -357,3 +358,66 @@ class TestLinesMatchPointScan:
         # the crossing point (3, 0) is a vertex of neither segment
         c = complex_of([simplex((0, 0), (6, 0)), simplex((3, -2), (3, 2))])
         assert count_complex(c, 1) == 7 + 5 - 1
+
+
+# Largest coordinate spread per ambient dimension 1..4 that keeps the box of
+# 6*s small enough for the point-scan oracle
+SHIFTED_SPREAD = (40, 8, 3, 1)
+
+
+@st.composite
+def translated_copies(draw):
+    """Random simplices in one ambient dimension d = 1..4, moved near 0 or
+    near +-10^6, each with one to three translated copies, each copy's
+    vertices in a drawn order, the whole list shuffled so that any copy may
+    lead its class; copies overlap their original as drawn.  Also a
+    dilation t = 1..6."""
+    d = draw(st.integers(1, 4))
+    coordinate = st.integers(0, SHIFTED_SPREAD[d - 1])
+    shift = draw(st.tuples(*[NEAR_ORIGIN_OR_MILLION] * d))
+    simplices = []
+    for _ in range(draw(st.integers(1, 2))):
+        m = draw(st.integers(0, d))
+        points = draw(st.lists(st.tuples(*[coordinate] * d),
+                               min_size=m + 1, max_size=m + 1, unique=True))
+        points = [tuple(map(sum, zip(p, shift))) for p in points]
+        try:
+            simplices.append(Simplex(tuple(points)))
+        except ValidationError:
+            assume(False)
+        for _ in range(draw(st.integers(1, 3))):
+            v = draw(st.tuples(*[st.integers(-3, 3)] * d))
+            order = draw(st.permutations(points))
+            simplices.append(Simplex(tuple(tuple(map(sum, zip(p, v))) for p in order)))
+    return draw(st.permutations(simplices)), draw(st.integers(1, 6))
+
+
+class TestShiftedUnionCount:
+    """count_complex, which cuts the lines of each translation class once
+    and shifts them for every other face of the class, against the
+    per-face cut and the point-scan union."""
+
+    @given(translated_copies())
+    # a translate along the free axis only, and one off it only
+    @example(([simplex((0, 0), (3, 0), (0, 1)), simplex((2, 0), (5, 0), (2, 1))], 2))
+    @example(([simplex((0, 0), (3, 0), (0, 1)), simplex((0, 2), (3, 2), (0, 3))], 3))
+    # a translate whose least point is not its first vertex
+    @example(([simplex((0, 0), (2, 1), (1, 3)), simplex((2, 4), (1, 1), (3, 2))], 2))
+    # a translate by (1, -3, 2) near 10^6
+    @example(([simplex((10**6, -10**6, 0), (10**6 + 1, -10**6, 2)),
+               simplex((10**6 + 1, -10**6 - 3, 2), (10**6 + 2, -10**6 - 3, 4))], 5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_facewise_and_point_scan(self, case):
+        simplices, t = case
+        c = complex_of(simplices)
+        assert count_complex(c, t) == facewise_union_count(c, t) == union_count(c, t)
+
+    @pytest.mark.parametrize("dim, grid, n, seed, shift", [
+        (2, 6, 6, 1, (10**6, -10**6)),
+        (2, 6, 4, 2, (0, 0)),
+        (3, 2, 2, 3, (-10**6, 10**6 + 3, 10**6)),
+        (3, 2, 3, 4, (0, 0, 0)),
+    ], ids=["2d-grid6-n6", "2d-grid6-n4", "3d-grid2-n2", "3d-grid2-n3"])
+    def test_whole_grids_at_planned_dilations(self, dim, grid, n, seed, shift):
+        c, t = grid_case(dim, grid, seed, shift, dilation_plan(dim, n).dilation)
+        assert count_complex(c, t) == (grid * t + 1) ** dim == facewise_union_count(c, t)
