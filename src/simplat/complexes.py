@@ -7,8 +7,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from operator import sub
+from itertools import accumulate, combinations, permutations, product
+from operator import mul, sub
 
 from .errors import InputError, ValidationError, check_int, is_int
 from .geometry import (LatticePoint, Simplex, as_lattice_point, bounding_box,
@@ -20,6 +20,15 @@ def _translation_key(vertices, face) -> tuple[LatticePoint, ...]:
     """SimplicialComplex.translation_class of a face known to be one."""
     points = sorted([vertices[i] for i in face])
     return tuple([tuple(map(sub, p, points[0])) for p in points])
+
+
+def _face_simplex(vertices, face) -> Simplex:
+    """The Simplex of the face with indices face, in index order; a
+    ValidationError names the face as degenerate."""
+    try:
+        return Simplex(tuple([vertices[i] for i in face]))
+    except ValidationError as exc:
+        raise ValidationError(f"face {list(face)} is degenerate: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -37,31 +46,30 @@ class SimplicialComplex:
     given sets finds both.  validate() checks the conditions between faces.
 
     Maximal faces are grouped by translation class (translation_class).
-    The first face of each class in sorted order, its leader, is the only
-    one built and certified here: a lattice translate is degenerate exactly
-    when its leader is, and has the same bounding-box size and the same
-    lattice-point counts at every dilation, so the library reads those off
-    the leader.  Every other face's Simplex is built on first request.
+    Each class is built and certified once, as its canonical translate:
+    the Simplex on its translation key, whose least vertex is the origin.
+    A lattice translate is degenerate exactly when the canonical translate
+    is, and has a bounding box of the same size and the same lattice-point
+    counts at every dilation, so the library reads those off the canonical
+    translate, and the certificate cache shares it between every complex
+    with a face of that shape.  No face's own Simplex is built here: the
+    face table fills on request.
     """
 
     ambient_dim: int
     vertices: tuple[LatticePoint, ...]
     faces: frozenset[frozenset[int]]
-    # the face table: each face's Simplex by sorted index tuple, the
-    # leaders' built here and any other on first request
+    # the face table: each face's Simplex by sorted index tuple, built on
+    # first request
     _simplices: dict[tuple[int, ...], Simplex] = field(
         init=False, repr=False, compare=False)
     # the faces not strictly contained in another face, sorted
     maximal_faces: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False)
-    # each maximal face's leader, the first face of its translation class
-    # in sorted order (the face itself for a leader)
-    _leaders: dict[tuple[int, ...], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False)
-    # each leader's translation key, which every face it leads shares (one
-    # key per class: a key per face would keep a few tuples per face alive
-    # with the complex, which the garbage collector then scans)
-    _keys: dict[tuple[int, ...], tuple[LatticePoint, ...]] = field(
+    # each maximal face's class's canonical translate, one Simplex per
+    # class (one per face would keep a few tuples per face alive with the
+    # complex, which the garbage collector then scans)
+    _canonical: dict[tuple[int, ...], Simplex] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -87,26 +95,25 @@ class SimplicialComplex:
         maximal = tuple(sorted([tuple(sorted(f)) for f in given - below]))
         object.__setattr__(self, "faces", frozenset(below | given))
         object.__setattr__(self, "maximal_faces", maximal)
-        table, leaders, keys, by_class = {}, {}, {}, {}
-        for face in maximal:  # sorted, so a leader comes first
+        canonical, by_key = {}, {}
+        for face in maximal:  # sorted, so the least degenerate face fails first
             key = _translation_key(verts, face)
-            leader = leaders[face] = by_class.setdefault(key, face)
-            if leader is face:
-                keys[face] = key
+            s = by_key.get(key)
+            if s is None:
                 try:
-                    table[face] = Simplex(tuple([verts[i] for i in face]))
-                except ValidationError as exc:
-                    raise ValidationError(
-                        f"face {list(face)} is degenerate: {exc}") from exc
-        object.__setattr__(self, "_simplices", table)
-        object.__setattr__(self, "_leaders", leaders)
-        object.__setattr__(self, "_keys", keys)
+                    s = by_key[key] = Simplex(key)
+                except ValidationError:
+                    _face_simplex(verts, face)  # raises, naming the face's own vertices
+                    raise
+            canonical[face] = s
+        object.__setattr__(self, "_simplices", {})
+        object.__setattr__(self, "_canonical", canonical)
 
     def simplex(self, face) -> Simplex:
         """The geometric simplex of a face of the complex, vertices in
-        index order, from the face table, where a face other than a leader
-        is built on first request (InputError for a set that is not a face,
-        or whose indices are not all ints, as 1.0 and True)."""
+        index order, from the face table, where it is built on first
+        request (InputError for a set that is not a face, or whose indices
+        are not all ints, as 1.0 and True)."""
         return self._simplex(tuple(sorted(self._face(face))))
 
     def _simplex(self, idx: tuple[int, ...]) -> Simplex:
@@ -114,7 +121,7 @@ class SimplicialComplex:
         face table, built and kept there on a miss; idx is not checked."""
         s = self._simplices.get(idx)
         if s is None:
-            s = self._simplices[idx] = Simplex(tuple([self.vertices[i] for i in idx]))
+            s = self._simplices[idx] = _face_simplex(self.vertices, idx)
         return s
 
     def translation_class(self, face) -> tuple[LatticePoint, ...]:
@@ -125,7 +132,8 @@ class SimplicialComplex:
         dilations, so counts can be shared per class.  It costs a few
         subtractions, where the lattice class (geometry.lattice_class)
         needs the face's Simplex and its certificate.  Construction keys
-        each maximal face by it to find the leaders.
+        each maximal face by it, and the key is the vertex tuple of the
+        class's canonical translate.
         """
         return _translation_key(self.vertices, self._face(face))
 
@@ -269,6 +277,11 @@ def generate_complex(dim: int, grid: int, keep_fraction, seed: int) -> Simplicia
     simplex is kept with exact probability keep_fraction, drawn as
     randrange(q) < p from random.Random(seed).  The result is a subcomplex
     of a triangulation, hence always a valid complex.
+
+    Vertices are listed in product order, so the point z has index
+    z . strides with strides[i] = (grid+1)^(dim-1-i), and a chain is its
+    cell corner's index plus the partial sums of the strides of its steps,
+    one offset path per permutation.
     """
     if not is_int(dim) or not 1 <= dim <= 4:
         raise InputError(f"dim must be an integer in [1, 4], got {dim!r}")
@@ -276,18 +289,16 @@ def generate_complex(dim: int, grid: int, keep_fraction, seed: int) -> Simplicia
     keep = _as_keep_fraction(keep_fraction)
     check_int(seed, "seed")
 
-    verts = [tuple(p) for p in product(range(grid + 1), repeat=dim)]
-    index = {v: i for i, v in enumerate(verts)}
+    verts = list(product(range(grid + 1), repeat=dim))
+    strides = [(grid + 1) ** (dim - 1 - i) for i in range(dim)]
+    paths = [tuple(accumulate([strides[axis] for axis in perm], initial=0))
+             for perm in permutations(range(dim))]
     rng = random.Random(seed)
     p, q = keep.numerator, keep.denominator
     maximal = []
     for cell in product(range(grid), repeat=dim):
-        for perm in permutations(range(dim)):
-            cur = cell
-            chain = [index[cur]]
-            for axis in perm:
-                cur = tuple(c + (1 if i == axis else 0) for i, c in enumerate(cur))
-                chain.append(index[cur])
+        base = sum(map(mul, cell, strides))
+        for path in paths:
             if rng.randrange(q) < p:
-                maximal.append(tuple(chain))
+                maximal.append(tuple([base + offset for offset in path]))
     return close_under_faces(maximal, verts, ambient_dim=dim)

@@ -6,17 +6,20 @@ cuts the line to an integer interval by floor division (floor-sum counting,
 Beck & Robins, Computing the Continuous Discretely, ch. 1-2).  The cost is
 about box / extent of the free axis x rows, but the budget is still
 measured in box points: a box of over DEFAULT_ENUMERATION_LIMIT points
-raises ResourceLimitError.  A complex's union count cuts lines once per
-translation class of maximal faces: a translate by v has the lines of its
-class's leader moved by t*v, so every other face only shifts them.
+raises ResourceLimitError.  Every per-class figure of a complex's maximal
+faces is read off the class's canonical translate (see SimplicialComplex),
+the simplex on its translation key (its sorted vertex points minus the
+least one), so no face's own Simplex is built: the union count cuts lines
+once per class, on the canonical translate, and a face whose least vertex
+point is v gets them moved by t*v.
 The additive counter sums relative-interior counts over all faces, which is
 the designated fast path for large dilations: each interior count is the
 int sum h_k C(t+k-1, m) over the face's integer h*-vector h, by
 Ehrhart-Macdonald reciprocity, and h is computed once per lattice class,
 at a cost that follows the normalized volume.  A face's translation key
-(its sorted vertex points minus the least one) fixes h, so faces are
-counted per key, and each key's lattice class is read off the key's own
-cached certificate: no Simplex is built.
+fixes h, so faces are counted per key, in a census of the complex that no
+dilation changes, and each key's lattice class is read off the key's own
+cached certificate.
 """
 
 from __future__ import annotations
@@ -134,10 +137,10 @@ def count_relative_interior(s: Simplex, t: int) -> int:
 
 def enumeration_estimate(c: SimplicialComplex, t: int) -> int:
     """Total box points count_complex would scan at dilation t: the sum of
-    every maximal face's box points, each read off the face's leader (see
-    SimplicialComplex), since a lattice translate has a box of the same
-    size."""
-    return sum(box_points(c._simplex(leader), t) for leader in c._leaders.values())
+    every maximal face's box points, each read off the canonical translate
+    of its class (see SimplicialComplex), since a lattice translate has a
+    box of the same size."""
+    return sum([box_points(s, t) for s in c._canonical.values()])
 
 
 def count_complex(c: SimplicialComplex, t: int) -> int:
@@ -147,27 +150,27 @@ def count_complex(c: SimplicialComplex, t: int) -> int:
     Every face is cut into integer intervals on the lines of one free axis,
     the one with the fewest lines over all face boxes; the intervals on
     each line are merged and their lengths summed.  The lines are cut once
-    per translation class, on its leader (see SimplicialComplex): a face
-    that is the leader moved by v gets the leader's lines moved by t*v, v
-    being the difference of their least vertex points.
+    per translation class, on its canonical translate (see
+    SimplicialComplex), whose least vertex is the origin: a face whose
+    least vertex point is v is that translate moved by v, and gets its
+    lines moved by t*v.
     """
     check_int(t, "dilation factor", 1)
     if not c.faces:
         return 0
     _check_budget(enumeration_estimate(c, t))
-    axis = _free_axis([bounding_box(c._simplex(leader))
-                       for leader in c._leaders.values()], t)
+    classes = c._canonical
+    axis = _free_axis([bounding_box(s) for s in classes.values()], t)
     verts = c.vertices
-    cut: dict[tuple[int, ...], tuple] = {}  # leader -> (least point, lines)
+    cut: dict[tuple, list] = {}  # translation key -> its class's lines
     lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for face, leader in c._leaders.items():  # sorted, so a leader comes first
-        least = min([verts[i] for i in face])
-        if leader is face:
-            cut[face] = least, list(_lines(c._simplex(face), t, axis, strict=False))
-        origin, leader_lines = cut[leader]
-        shift = [t * (a - b) for a, b in zip(least, origin)]
+    for face, s in classes.items():
+        class_lines = cut.get(s.vertices)
+        if class_lines is None:
+            class_lines = cut[s.vertices] = list(_lines(s, t, axis, strict=False))
+        shift = [t * a for a in min([verts[i] for i in face])]
         step = shift.pop(axis)
-        for fixed, first, last in leader_lines:
+        for fixed, first, last in class_lines:
             lines.setdefault(tuple(map(add, fixed, shift)), []).append(
                 (first + step, last + step))
     total = 0
@@ -181,6 +184,30 @@ def count_complex(c: SimplicialComplex, t: int) -> int:
     return total
 
 
+def _additive_census(c: SimplicialComplex) -> list[tuple]:
+    """(key, faces, h*) for each translation key of the faces of c: the
+    number of faces with that key and the h*-vector they share.
+
+    Translates share h*, so one per key serves every face with it.  The
+    key is itself the vertex tuple of a translate of its faces, never
+    degenerate since construction certifies every maximal face's class,
+    so its lattice class comes from the certificate cache under the key.
+    The maximal faces' keys are read off their canonical translates (see
+    SimplicialComplex); only the lower faces are keyed here.
+    """
+    from .ehrhart import _class_hstar
+    keys = Counter([s.vertices for s in c._canonical.values()])
+    maximal = set(map(frozenset, c._canonical))
+    keys.update(_translation_key(c.vertices, f) for f in c.faces if f not in maximal)
+    return [(key, n, _class_hstar(_certificate(key)[3])) for key, n in keys.items()]
+
+
+def _census_count(census, t: int) -> int:
+    """The additive count at dilation t of a complex with the given
+    census: each key's interior count times its faces."""
+    return sum([n * h.interior(t) for _, n, h in census])
+
+
 def count_complex_additive(c: SimplicialComplex, t: int) -> int:
     """Same count as count_complex on a valid complex, via the disjoint
     partition of the union into relative interiors of faces (overlapping
@@ -189,18 +216,8 @@ def count_complex_additive(c: SimplicialComplex, t: int) -> int:
     The interior of t*F counts as sum h_k C(t+k-1, m) for the h*-vector h
     of each m-face F (Ehrhart-Macdonald reciprocity), an int whose cost does
     not grow with t.  Translates share h, so the faces are counted per
-    translation key, and each key adds its count times its faces.  The key
-    is itself a vertex tuple of a translate of the face, never degenerate
-    since construction certifies every maximal face's class, so its lattice
-    class comes from the certificate cache under the key.  Construction
-    keeps each class leader's key, so the maximal faces are counted per
-    leader and only the lower faces are keyed here.
+    translation key (_additive_census), and each key adds its count times
+    its faces.
     """
     check_int(t, "dilation factor", 1)
-    from .ehrhart import _class_hstar
-    faces_per_leader = Counter(c._leaders.values())
-    keys = Counter({c._keys[leader]: n for leader, n in faces_per_leader.items()})
-    maximal = set(map(frozenset, c._leaders))
-    keys.update(_translation_key(c.vertices, f) for f in c.faces if f not in maximal)
-    return sum(n * _class_hstar(_certificate(key)[3]).interior(t)
-               for key, n in keys.items())
+    return _census_count(_additive_census(c), t)

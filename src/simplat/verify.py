@@ -6,13 +6,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from .complexes import SimplicialComplex, euler_characteristic, generate_complex
-from .counting import (DEFAULT_ENUMERATION_LIMIT, count_complex,
-                       count_complex_additive, enumeration_estimate)
+from .counting import (DEFAULT_ENUMERATION_LIMIT, _additive_census,
+                       _census_count, count_complex, count_complex_additive,
+                       enumeration_estimate)
 from .documents import complex_to_document
 from .ehrhart import SimplexCongruenceReport, verify_simplex_congruence
 from .errors import ResourceLimitError, check_int
+from .geometry import CACHE_SIZE, LatticePoint, Simplex
 from .numtheory import DilationPlan, dilation_plan
 from .report import Report
 
@@ -58,6 +61,15 @@ def _counter(c: SimplicialComplex, t: int):
     return count_complex_additive, "additive"
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _class_subcheck(key: tuple[LatticePoint, ...], p: int,
+                    k: int) -> SimplexCongruenceReport:
+    """verify_simplex_congruence(s, p, k) on the canonical translate s of
+    the translation class key, the Simplex on that vertex tuple, kept for
+    every complex with a face of the class.  An error is not kept."""
+    return verify_simplex_congruence(Simplex(key), p, k)
+
+
 def run_verify(c: SimplicialComplex, n: int, *,
                input_id: str = "complex") -> VerificationReport:
     """Count lattice points of the complex dilated by the planned factor and
@@ -65,36 +77,32 @@ def run_verify(c: SimplicialComplex, n: int, *,
     prime-power congruence sub-check on every maximal simplex.  The count
     is enumerated or additive as _counter chooses.
 
-    Sub-checks run once per translation class of maximal faces, on the
-    class's leader (see SimplicialComplex): a lattice translate of s
-    shifts p^k*s by a lattice vector, which changes neither its count
-    nor the box that picks the method.  Every later face of a class gets
-    the leader's reports with its own vertices, in the same order, and
-    its Simplex is never built.  Grouping by lattice class instead would
-    need every face's certificate just to read the key.
+    Sub-checks run on the canonical translate of each translation class of
+    maximal faces (see SimplicialComplex), and their reports are kept in an
+    LRU cache of CACHE_SIZE entries keyed by the translation key, p and k,
+    which every complex shares: a lattice translate of s shifts p^k*s by a
+    lattice vector, which changes neither its count nor the box that picks
+    the method.  Every face gets its class's reports with its own vertices,
+    in index order, and its own Simplex is never built.  Grouping by
+    lattice class instead would need every face's certificate just to read
+    the key.
     """
     plan = dilation_plan(c.ambient_dim, n)
     t = plan.dilation
     euler = euler_characteristic(c)
     counter, method = _counter(c, t)
     count = counter(c, t)
+    terms = [(term.prime, term.dilation_exponent) for term in plan.terms]
     subchecks = []
-    by_leader: dict = {}
-    for face in c.maximal_faces:  # sorted, so a leader comes first
-        reports = by_leader.get(c._leaders[face])
-        if reports is None:
-            s = c._simplex(face)
-            reports = by_leader[face] = [
-                verify_simplex_congruence(s, term.prime, term.dilation_exponent)
-                for term in plan.terms]
-            subchecks.extend(reports)
-        else:
-            vertices = tuple([c.vertices[i] for i in face])
-            subchecks.extend(SimplexCongruenceReport(
-                vertices=vertices, intrinsic_dim=r.intrinsic_dim, prime=r.prime,
-                exponent=r.exponent, log_floor=r.log_floor, modulus=r.modulus,
+    for face, s in c._canonical.items():
+        vertices = tuple([c.vertices[i] for i in face])
+        for p, k in terms:
+            r = _class_subcheck(s.vertices, p, k)
+            subchecks.append(SimplexCongruenceReport(
+                vertices=vertices, intrinsic_dim=r.intrinsic_dim, prime=p,
+                exponent=k, log_floor=r.log_floor, modulus=r.modulus,
                 count=r.count, residue=r.residue, method=r.method,
-                passed=r.passed) for r in reports)
+                passed=r.passed))
     count_residue = count % n
     euler_residue = euler % n
     return VerificationReport(
@@ -190,7 +198,9 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
     """Count at every dilation 1..t_max and flag which satisfy the
     congruence; exploratory, since the planned dilation is sufficient but
     not always minimal.  All rows use the method _counter picks at t_max,
-    since on an improper complex the two methods differ.
+    since on an improper complex the two methods differ; on the additive
+    one, the complex's census (counting._additive_census) is taken once
+    and evaluated at every row.
 
     Before counting, ResourceLimitError refuses a table of more than
     PROBE_ROW_LIMIT rows, or one whose t_max x len(c.faces) is over
@@ -208,10 +218,14 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
             f"face counts, over the budget of {DEFAULT_ENUMERATION_LIMIT}")
     euler = euler_characteristic(c)
     euler_residue = euler % n
-    counter, _ = _counter(c, t_max)
+    counter, method = _counter(c, t_max)
+    if method == "additive":  # the census does not change with t
+        count_at = partial(_census_count, _additive_census(c))
+    else:
+        count_at = partial(counter, c)
     rows = []
     for t in range(1, t_max + 1):
-        count = counter(c, t)
+        count = count_at(t)
         rows.append(ProbeRow(dilation=t, count=count,
                              count_residue=count % n,
                              congruent=count % n == euler_residue))

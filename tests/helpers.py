@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import lcm, prod
 
 import sympy
@@ -224,6 +224,32 @@ def closure_maximal_faces(c) -> tuple[tuple[int, ...], ...]:
             for drop in face:
                 non_maximal.add(face - {drop})
     return tuple(sorted(tuple(sorted(f)) for f in c.faces if f not in non_maximal))
+
+
+# ---------------------------------------------------------------------------
+# generator oracle: generate_complex as it was before it built chains from
+# index strides, walking each chain point by point and looking every point
+# up in a vertex index
+
+def chain_generated_complex(dim: int, grid: int, keep_fraction, seed: int):
+    """The permutation-triangulation subcomplex generate_complex makes for
+    valid arguments, with one randrange draw per simplex in the same order."""
+    verts = [tuple(p) for p in product(range(grid + 1), repeat=dim)]
+    index = {v: i for i, v in enumerate(verts)}
+    rng = random.Random(seed)
+    keep = Fraction(keep_fraction)
+    p, q = keep.numerator, keep.denominator
+    maximal = []
+    for cell in product(range(grid), repeat=dim):
+        for perm in permutations(range(dim)):
+            cur = cell
+            chain = [index[cur]]
+            for axis in perm:
+                cur = tuple(c + (1 if i == axis else 0) for i, c in enumerate(cur))
+                chain.append(index[cur])
+            if rng.randrange(q) < p:
+                maximal.append(tuple(chain))
+    return close_under_faces(maximal, verts, ambient_dim=dim)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ from simplat import (SimplicialComplex, close_under_faces, count_complex,
                      generate_complex, geometry, summarize, validate)
 from simplat.errors import InputError, ValidationError
 
+from simplat.verify import FUZZ_KEEP_CYCLE
+
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
-                     closure_maximal_faces, moved_complex,
-                     moved_generated_complexes)
+                     chain_generated_complex, closure_maximal_faces,
+                     moved_complex, moved_generated_complexes)
 
 
 def from_doc(doc):
@@ -175,7 +177,8 @@ class TestConstruction:
 
 class TestLeaders:
     """Construction builds and certifies one Simplex per translation class
-    of maximal faces, the first face of the class in sorted order."""
+    of maximal faces, its canonical translate, and a degenerate class is
+    named by its first face in sorted order, with that face's vertices."""
 
     # three collinear triples: [0, 1, 2] and its translate [6, 7, 8], listed
     # first, and [3, 4, 5], of another class; [9, 10, 11] is a triangle
@@ -194,19 +197,41 @@ class TestLeaders:
             close_under_faces(listing, self.VERTICES)
 
     def test_moved_grid_certifies_one_face_per_class(self):
-        # the 50 triangles of the whole grid-5 are translates of 2 shapes
+        # the 50 triangles of the whole grid-5 are translates of 2 shapes,
+        # each certified once on its canonical translate; a copy under the
+        # same map with another shift has the same shapes and certifies none
         base = generate_complex(2, 5, 1, seed=0)
         for seed, shift in ((1, (10**6, -10**6)), (2, (-10**6 + 3, 10**6))):
             geometry._certificate.cache_clear()
             c = moved_complex(base, random.Random(seed), shift)
             assert geometry._certificate.cache_info().misses == 2
-            assert len(c.maximal_faces) == 50
-            assert len(set(c._leaders.values())) == 2
-            assert all(c._keys[c._leaders[f]] == c.translation_class(f)
-                       for f in c.maximal_faces)
-            for face in c.maximal_faces:  # the others are built on request
+            copy = moved_complex(base, random.Random(seed), (-shift[1], shift[0] + 7))
+            assert geometry._certificate.cache_info().misses == 2
+            for x in (c, copy):
+                assert len(x.maximal_faces) == 50
+                assert len(set(x._canonical.values())) == 2
+                assert all(x._canonical[f].vertices == x.translation_class(f)
+                           for f in x.maximal_faces)
+                assert not x._simplices  # no face's own Simplex yet
+            assert set(c._canonical.values()) == set(copy._canonical.values())
+            for face in c.maximal_faces:  # each face's own, on request
                 assert c.simplex(face).vertices == tuple(c.vertices[i] for i in face)
-            assert geometry._certificate.cache_info().misses == 50
+            assert geometry._certificate.cache_info().misses == 2 + 50
+
+    @pytest.mark.parametrize("listing", [[[0, 1, 2]], [[3, 4, 5], [2, 1, 0]]])
+    def test_degenerate_face_far_from_the_origin(self, listing):
+        # the error names the face's own vertices in index order, not the
+        # canonical translate that construction certifies
+        vertices = [(10**6 + 2, -10**6 + 4), (10**6, -10**6), (10**6 + 1, -10**6 + 2),
+                    (5, 5), (6, 5), (5, 6)]
+        with pytest.raises(ValidationError, match=re.escape(
+                "face [0, 1, 2] is degenerate: vertices are affinely dependent: "
+                "((1000002, -999996), (1000000, -1000000), (1000001, -999998))")):
+            close_under_faces(listing, vertices)
+        with pytest.raises(ValidationError, match=re.escape(
+                "face [0, 1, 2, 3] is degenerate: "
+                "4 vertices cannot be affinely independent in Z^2")):
+            close_under_faces([[3, 2, 1, 0]], vertices)
 
 
 class TestFaceTable:
@@ -381,3 +406,13 @@ class TestGenerator:
     def test_rejects_float_keep(self):
         with pytest.raises(InputError):
             generate_complex(2, 1, 0.5, seed=0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_strides_match_the_chain_walk(self, dim):
+        for grid in (1, 2, 3):
+            for keep in FUZZ_KEEP_CYCLE:
+                for seed in (0, 7, 2**40 + 3):
+                    got = generate_complex(dim, grid, keep, seed)
+                    want = chain_generated_complex(dim, grid, keep, seed)
+                    assert got.vertices == want.vertices
+                    assert got.maximal_faces == want.maximal_faces, (dim, grid, keep, seed)

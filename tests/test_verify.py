@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplat import (SimplicialComplex, close_under_faces,
-                     count_complex_additive, generate_complex, geometry,
+from simplat import (Simplex, SimplicialComplex, close_under_faces,
+                     count_complex_additive, counting, generate_complex, geometry,
                      probe_dilations, run_fuzz, run_verify, verify)
 from simplat.documents import load_complex
 from simplat.ehrhart import _class_hstar, verify_simplex_congruence
@@ -132,27 +132,53 @@ class TestRunVerify:
         assert methods == {"enumeration", "ehrhart"}
 
     def test_moved_grid_builds_one_simplex_per_class(self):
-        # construction certifies the 2 triangle shapes of the whole grid-5;
-        # the additive count then certifies each of the 6 translation keys
-        # (a vertex, 3 edges, 2 triangles) and one canonical simplex per
-        # lattice class (a point, a primitive segment, a unimodular
-        # triangle), and the sub-checks reuse the triangles' certificates
+        # construction certifies the canonical translates of the 2 triangle
+        # shapes of the whole grid-5, which are also 2 of its 6 translation
+        # keys; the additive count then certifies the other 4 (a vertex, 3
+        # edges) and one canonical simplex per lattice class (a point, a
+        # primitive segment, a unimodular triangle), and the sub-checks
+        # reuse the triangles' certificates
         base = generate_complex(2, 5, 1, seed=0)
         for seed, shift in ((1, (10**6, -10**6)), (3, (10**6 + 3, 10**6))):
             geometry._certificate.cache_clear()
             _class_hstar.cache_clear()
+            verify._class_subcheck.cache_clear()
             c = moved_complex(base, random.Random(seed), shift)
             assert geometry._certificate.cache_info().misses == 2
             r = run_verify(c, 60)
             assert (r.count, r.method, len(r.subchecks)) == (601 ** 2, "additive", 150)
-            assert geometry._certificate.cache_info().misses == 2 + 6 + 3
+            assert geometry._certificate.cache_info().misses == 2 + 4 + 3
+            assert verify._class_subcheck.cache_info().misses == 2 * 3
             # a copy under the same map with another shift has the same
-            # keys and lattice classes: only its 2 leaders are new
+            # keys and lattice classes: nothing of it is certified again,
+            # and its sub-checks are all read from the cache
             copy = moved_complex(base, random.Random(seed), (-shift[1], shift[0] + 7))
-            assert geometry._certificate.cache_info().misses == 2 + 6 + 3 + 2
+            assert geometry._certificate.cache_info().misses == 2 + 4 + 3
             r = run_verify(copy, 60)
             assert (r.count, r.method, len(r.subchecks)) == (601 ** 2, "additive", 150)
-            assert geometry._certificate.cache_info().misses == 2 + 6 + 3 + 2
+            assert geometry._certificate.cache_info().misses == 2 + 4 + 3
+            assert verify._class_subcheck.cache_info().misses == 2 * 3
+
+    @pytest.mark.parametrize("dim, grid, n", [(2, 4, 60), (3, 1, 30), (2, 2, 6)])
+    def test_subchecks_shared_across_complexes(self, dim, grid, n):
+        # copies moved differently share the sub-check cache; every report
+        # must still equal the one its own face gives, vertices included,
+        # whether the cache starts empty or holds the other copies' classes
+        base = generate_complex(dim, grid, 1, seed=0)
+        copies = [moved_complex(base, random.Random(seed), shift)
+                  for seed, shift in ((1, (10**6,) * dim), (1, (-10**6 + 5,) * dim),
+                                      (2, (3,) * dim))]
+        plan = dilation_plan(dim, n)
+        wants = [tuple(verify_simplex_congruence(c.simplex(f), p.prime,
+                                                 p.dilation_exponent)
+                       for f in c.maximal_faces for p in plan.terms)
+                 for c in copies]
+        verify._class_subcheck.cache_clear()
+        for _ in range(2):  # cold, then warm
+            for c, want in zip(copies, wants):
+                assert run_verify(c, n).subchecks == want
+        info = verify._class_subcheck.cache_info()
+        assert info.hits > info.misses
 
     def test_improper_complex_can_fail(self):
         # segments [0,2] and [1,3] overlap but share no face, so the
@@ -213,10 +239,21 @@ class TestErrorPaths:
         first = next(f for f in c.faces if len(f) == 3)
         volume = 16_000_000 if 0 in first else 25_000_000
         want = f"normalized volume {volume} of lattice class"
-        with pytest.raises(ResourceLimitError, match=want):
-            count_complex_additive(c, 5)
-        with pytest.raises(ResourceLimitError, match=want):
-            run_verify(c, 2)
+        for _ in range(2):  # an error is not cached
+            with pytest.raises(ResourceLimitError, match=want):
+                count_complex_additive(c, 5)
+            with pytest.raises(ResourceLimitError, match=want):
+                run_verify(c, 2)
+
+    def test_subcheck_errors_are_not_cached(self):
+        # a sub-check past its box budget reads h*, whose class is over the
+        # volume budget; the second call must raise again
+        s = Simplex(((0, 0), (4000, 0), (0, 4000)))
+        verify._class_subcheck.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError, match="normalized volume 16000000"):
+                verify._class_subcheck(s.vertices, 2, 2)
+        assert verify._class_subcheck.cache_info().currsize == 0
 
 
 class TestFuzz:
@@ -275,6 +312,23 @@ class TestProbe:
         # only from t = 58 on, so the rows below it test the one method
         c = close_under_faces([[0, 1, 2], [0, 1, 3]], [(0, 0), (2, 0), (0, 2), (1, 1)])
         report = probe_dilations(c, 6, 60)
+        assert [r.count for r in report.rows] == [
+            count_complex_additive(c, t) for t in range(1, 61)]
+
+    def test_additive_rows_read_one_census(self, monkeypatch):
+        # a moved whole 3-D grid-2 past the budget: the census is taken
+        # once, and every row equals the additive count at its dilation
+        c = moved_complex(generate_complex(3, 2, 1, 0), random.Random(4),
+                          (10**6, -10**6, 7))
+        taken = []
+
+        def census(complex_):
+            taken.append(complex_)
+            return counting._additive_census(complex_)
+
+        monkeypatch.setattr(verify, "_additive_census", census)
+        report = probe_dilations(c, 6, 60)
+        assert taken == [c]
         assert [r.count for r in report.rows] == [
             count_complex_additive(c, t) for t in range(1, 61)]
 
