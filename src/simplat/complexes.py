@@ -8,27 +8,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
-from operator import mul, sub
+from operator import mul
 
-from .errors import InputError, ValidationError, check_int, is_int
+from .errors import InputError, ValidationError, check_int, is_int, shown
 from .geometry import (LatticePoint, Simplex, as_lattice_point, bounding_box,
-                       intersection_is_common_face)
+                       intersection_is_common_face, translation_key)
 from .report import Report
-
-
-def _translation_key(vertices, face) -> tuple[LatticePoint, ...]:
-    """SimplicialComplex.translation_class of a face known to be one."""
-    points = sorted([vertices[i] for i in face])
-    return tuple([tuple(map(sub, p, points[0])) for p in points])
-
-
-def _face_simplex(vertices, face) -> Simplex:
-    """The Simplex of the face with indices face, in index order; a
-    ValidationError names the face as degenerate."""
-    try:
-        return Simplex(tuple([vertices[i] for i in face]))
-    except ValidationError as exc:
-        raise ValidationError(f"face {list(face)} is degenerate: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -45,24 +30,17 @@ class SimplicialComplex:
     set contains, as sorted index tuples in sorted order; one pass over the
     given sets finds both.  validate() checks the conditions between faces.
 
-    Maximal faces are grouped by translation class (translation_class).
-    Each class is built and certified once, as its canonical translate:
-    the Simplex on its translation key, whose least vertex is the origin.
-    A lattice translate is degenerate exactly when the canonical translate
-    is, and has a bounding box of the same size and the same lattice-point
-    counts at every dilation, so the library reads those off the canonical
-    translate, and the certificate cache shares it between every complex
-    with a face of that shape.  No face's own Simplex is built here: the
-    face table fills on request.
+    Maximal faces are grouped by translation class (translation_class),
+    and each class is built once, as its canonical translate, the Simplex
+    on its key: a translate has a bounding box of the same size and the
+    same lattice-point counts at every dilation, so the library reads those
+    off it.  No face's own Simplex is kept; simplex() and validate() build
+    one on request, certified as its class (see Simplex).
     """
 
     ambient_dim: int
     vertices: tuple[LatticePoint, ...]
     faces: frozenset[frozenset[int]]
-    # the face table: each face's Simplex by sorted index tuple, built on
-    # first request
-    _simplices: dict[tuple[int, ...], Simplex] = field(
-        init=False, repr=False, compare=False)
     # the faces not strictly contained in another face, sorted
     maximal_faces: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False)
@@ -83,7 +61,8 @@ class SimplicialComplex:
                 raise InputError("empty face in the face list")
             for i in face:
                 if not is_int(i) or not 0 <= i < len(verts):
-                    raise InputError(f"vertex index {i!r} out of range in face {list(face)}")
+                    raise InputError(
+                        f"vertex index {shown(i)} out of range in face {shown(list(face))}")
             face = frozenset(face)
             if face not in given:
                 given.add(face)
@@ -97,50 +76,36 @@ class SimplicialComplex:
         object.__setattr__(self, "maximal_faces", maximal)
         canonical, by_key = {}, {}
         for face in maximal:  # sorted, so the least degenerate face fails first
-            key = _translation_key(verts, face)
+            key = translation_key([verts[i] for i in face])
             s = by_key.get(key)
             if s is None:
                 try:
                     s = by_key[key] = Simplex(key)
                 except ValidationError:
-                    _face_simplex(verts, face)  # raises, naming the face's own vertices
+                    try:  # the face's own Simplex fails too, naming its vertices
+                        Simplex(tuple([verts[i] for i in face]))
+                    except ValidationError as exc:
+                        raise ValidationError(f"face {list(face)} is degenerate: {exc}") from exc
                     raise
             canonical[face] = s
-        object.__setattr__(self, "_simplices", {})
         object.__setattr__(self, "_canonical", canonical)
 
     def simplex(self, face) -> Simplex:
         """The geometric simplex of a face of the complex, vertices in
-        index order, from the face table, where it is built on first
-        request (InputError for a set that is not a face, or whose indices
-        are not all ints, as 1.0 and True)."""
-        return self._simplex(tuple(sorted(self._face(face))))
-
-    def _simplex(self, idx: tuple[int, ...]) -> Simplex:
-        """The Simplex of the face with sorted int indices idx, from the
-        face table, built and kept there on a miss; idx is not checked."""
-        s = self._simplices.get(idx)
-        if s is None:
-            s = self._simplices[idx] = _face_simplex(self.vertices, idx)
-        return s
+        index order, built on each request (InputError for a set that is
+        not a face, or whose indices are not all ints, as 1.0 and True)."""
+        return Simplex(tuple([self.vertices[i] for i in sorted(self._face(face))]))
 
     def translation_class(self, face) -> tuple[LatticePoint, ...]:
-        """The face's vertex points, sorted, each minus the least one.
-
-        Two faces share it exactly when one is a lattice translate of the
-        other, which changes none of the lattice-point counts of its
-        dilations, so counts can be shared per class.  It costs a few
-        subtractions, where the lattice class (geometry.lattice_class)
-        needs the face's Simplex and its certificate.  Construction keys
-        each maximal face by it, and the key is the vertex tuple of the
-        class's canonical translate.
-        """
-        return _translation_key(self.vertices, self._face(face))
+        """The face's geometry.translation_key, which a lattice translate
+        keeps, as it keeps the face's lattice-point counts; it costs a few
+        subtractions, where geometry.lattice_class needs a certificate."""
+        return translation_key([self.vertices[i] for i in self._face(face)])
 
     def _face(self, face):
         """face, if it is a face of the complex with int indices; else InputError."""
         if frozenset(face) not in self.faces or not all(map(is_int, face)):
-            raise InputError(f"{list(face)} is not a face of the complex")
+            raise InputError(f"{shown(list(face))} is not a face of the complex")
         return face
 
     def f_vector(self) -> tuple[int, ...]:
@@ -232,10 +197,10 @@ def _overlapping_boxes(boxes) -> list[tuple[int, int]]:
 
 
 def validate(c: SimplicialComplex) -> ValidationReport:
-    """Check what construction cannot, since it compares faces with each
-    other: distinct coordinates of the referenced vertices, and pairwise
-    intersection-in-a-common-face of maximal faces (tested only for pairs
-    whose bounding boxes meet; the others are disjoint)."""
+    """Check what construction cannot, since it compares faces: distinct
+    coordinates of the referenced vertices, and that maximal faces whose
+    bounding boxes meet (the others are disjoint) meet in a common face,
+    read off the class certificates that construction computed."""
     duplicate_vertices = []
     seen: dict[LatticePoint, int] = {}
     for i in sorted(set().union(*c.maximal_faces)):
@@ -246,7 +211,7 @@ def validate(c: SimplicialComplex) -> ValidationReport:
             seen[pt] = i
 
     faces = c.maximal_faces
-    simplices = [c._simplex(f) for f in faces]
+    simplices = [Simplex(tuple([c.vertices[i] for i in f])) for f in faces]
     overlap_failures = []
     for i, j in _overlapping_boxes([bounding_box(s) for s in simplices]):
         if not intersection_is_common_face(simplices[i], simplices[j]):

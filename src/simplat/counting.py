@@ -30,9 +30,9 @@ from itertools import product
 from math import prod
 from operator import add, mul
 
-from .complexes import SimplicialComplex, _translation_key
+from .complexes import SimplicialComplex
 from .errors import ResourceLimitError, check_int
-from .geometry import Simplex, _certificate, bounding_box, membership_certificate
+from .geometry import Simplex, _certificate, bounding_box, membership_certificate, translation_key
 from .report import Report
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
@@ -198,7 +198,8 @@ def _additive_census(c: SimplicialComplex) -> list[tuple]:
     from .ehrhart import _class_hstar
     keys = Counter([s.vertices for s in c._canonical.values()])
     maximal = set(map(frozenset, c._canonical))
-    keys.update(_translation_key(c.vertices, f) for f in c.faces if f not in maximal)
+    verts = c.vertices
+    keys.update(translation_key([verts[i] for i in f]) for f in c.faces if f not in maximal)
     return [(key, n, _class_hstar(_certificate(key)[3])) for key, n in keys.items()]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .complexes import SimplicialComplex, close_under_faces, validate
-from .errors import InputError, ParseError, ValidationError, is_int
+from .errors import InputError, ParseError, ValidationError, is_int, shown
 from .report import to_json
 
 DOCUMENT_KEYS = ("ambient_dim", "vertices", "maximal_simplices")
@@ -34,7 +34,7 @@ class ComplexDocument:
             for c in v:
                 if abs(c) > MAX_SAFE_INT:
                     raise ParseError(
-                        f"coordinate {c} exceeds the JSON-safe integer range")
+                        f"coordinate {shown(c)} exceeds the JSON-safe integer range")
         return {"ambient_dim": self.ambient_dim,
                 "vertices": [list(v) for v in self.vertices],
                 "maximal_simplices": [list(f) for f in self.maximal_simplices]}
@@ -42,12 +42,14 @@ class ComplexDocument:
 
 def parse_document(source) -> ComplexDocument:
     """Parse a JSON string/bytes or an already-decoded dict into a document,
-    enforcing the schema strictly."""
+    enforcing the schema strictly; text json cannot read is refused too."""
     if isinstance(source, (str, bytes)):
         try:
             data = json.loads(source)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"unreadable JSON: {exc}") from exc
     elif isinstance(source, dict):
         data = source
     else:
@@ -63,7 +65,8 @@ def parse_document(source) -> ComplexDocument:
 
     dim = data["ambient_dim"]
     if not is_int(dim) or not 1 <= dim <= MAX_AMBIENT_DIM:
-        raise ParseError(f"ambient_dim must be an integer in [1, {MAX_AMBIENT_DIM}], got {dim!r}")
+        raise ParseError(
+            f"ambient_dim must be an integer in [1, {MAX_AMBIENT_DIM}], got {shown(dim)}")
 
     raw_vertices = data["vertices"]
     if not isinstance(raw_vertices, list):
@@ -71,13 +74,13 @@ def parse_document(source) -> ComplexDocument:
     vertices = []
     for i, v in enumerate(raw_vertices):
         if not isinstance(v, list) or len(v) != dim:
-            raise ParseError(f"vertex {i} must be a list of {dim} coordinates, got {v!r}")
+            raise ParseError(f"vertex {i} must be a list of {dim} coordinates, got {shown(v)}")
         for c in v:
             if not is_int(c):
-                raise ParseError(f"vertex {i} has a non-integer coordinate {c!r}")
+                raise ParseError(f"vertex {i} has a non-integer coordinate {shown(c)}")
             if abs(c) > MAX_SAFE_INT:
                 raise ParseError(
-                    f"vertex {i} coordinate {c} exceeds the JSON-safe integer range")
+                    f"vertex {i} coordinate {shown(c)} exceeds the JSON-safe integer range")
         vertices.append(tuple(v))
 
     raw_faces = data["maximal_simplices"]
@@ -89,7 +92,7 @@ def parse_document(source) -> ComplexDocument:
             raise ParseError(f"maximal simplex {j} must be a nonempty list of indices")
         for i in f:
             if not is_int(i) or not 0 <= i < len(vertices):
-                raise ParseError(f"maximal simplex {j} has a bad vertex index {i!r}")
+                raise ParseError(f"maximal simplex {j} has a bad vertex index {shown(i)}")
         if len(set(f)) != len(f):
             raise ParseError(f"maximal simplex {j} repeats a vertex index")
         faces.append(tuple(f))
@@ -111,11 +114,13 @@ def load_complex(source) -> SimplicialComplex:
 
 
 def read_document(path) -> ComplexDocument:
-    """Read and parse a document file."""
+    """Read and parse a document file, which must be UTF-8 text."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"unreadable JSON: {path} is not UTF-8 text: {exc}") from exc
     return parse_document(text)
 
 

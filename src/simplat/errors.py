@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and check_int, the one check
-of the library's int arguments (dilations, moduli, exponents, sizes)."""
+"""Exception types shared across the package, check_int, the one check of
+the library's int arguments, and shown, the repr error messages use."""
 
 
 class SimplatError(Exception):
@@ -35,11 +35,23 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def shown(value) -> str:
+    """repr(value), or the digit count of an int past sys.get_int_max_str_digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} holding an integer too long to print"
+        from decimal import Decimal  # converts an int of any length
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {Decimal(value).adjusted() + 1} digits"
+
+
 def check_int(value, name: str, least: int | None = None) -> int:
     """Return value if it is a true int (bool excluded) and, when least is
     given, at least least; otherwise raise InputError naming the argument:
-    "{name} must be an integer[ >= {least}], got {value!r}"."""
+    "{name} must be an integer[ >= {least}], got {shown(value)}"."""
     if not is_int(value) or least is not None and value < least:
         bound = "" if least is None else f" >= {least}"
-        raise InputError(f"{name} must be an integer{bound}, got {value!r}")
+        raise InputError(f"{name} must be an integer{bound}, got {shown(value)}")
     return value

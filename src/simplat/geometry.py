@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul, sub
 
 from . import exactlp
 from .errors import InputError, ValidationError, check_int, is_int
@@ -105,6 +106,16 @@ def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in a[:n])
 
 
+def translation_key(points) -> tuple[LatticePoint, ...]:
+    """The points, sorted, each minus the least one: shared by two vertex
+    tuples exactly when one is a lattice translate of the other, it is the
+    vertex tuple of their canonical translate, whose key is itself."""
+    points = sorted(points)
+    if any(points[0]):  # a canonical translate's points are its key
+        points = [tuple(map(sub, p, points[0])) for p in points]
+    return tuple(points)
+
+
 # Entries kept by each per-simplex cache (certificates here, h*-vectors
 # per lattice class in ehrhart); least recently used ones are dropped
 # beyond it.
@@ -137,7 +148,8 @@ def _certificate(vertices: tuple[LatticePoint, ...]):
     D_j is positive and divided by gcd(D_j, *row), and D_j over that gcd is
     its denominator; a hull row is signed so that its own identity entry is
     positive and divided by its gcd.  The lattice class (see lattice_class)
-    is kept here so that it is computed once per vertex tuple.
+    is kept here so that it is computed once per vertex tuple.  Simplex and
+    the pair test ask it only for translation keys: one entry per class.
     """
     k = len(vertices)
     d = len(vertices[0])
@@ -184,8 +196,8 @@ def _certificate(vertices: tuple[LatticePoint, ...]):
 @dataclass(frozen=True)
 class Simplex:
     """A geometric simplex: an ordered tuple of affinely independent lattice
-    vertices in Z^d.  Intrinsic dimension m = len(vertices) - 1 may be lower
-    than the ambient dimension d."""
+    vertices in Z^d, of intrinsic dimension m = len(vertices) - 1 <= d,
+    certified on its canonical translate (translation_key), as its translates are."""
 
     vertices: tuple[LatticePoint, ...]
     # (min, max) corners, read by bounding_box; set once here
@@ -208,7 +220,7 @@ class Simplex:
         if len(self.vertices) > dim + 1:
             raise ValidationError(
                 f"{len(self.vertices)} vertices cannot be affinely independent in Z^{dim}")
-        if _certificate(self.vertices) is None:
+        if _certificate(translation_key(self.vertices)) is None:
             raise ValidationError(f"vertices are affinely dependent: {self.vertices}")
 
     @property
@@ -319,9 +331,13 @@ def _separates(row, p, q, nshared: int) -> bool:
 def _separating_rows(s: Simplex, shared: set[LatticePoint]):
     """Candidate functionals from the barycentric rows of s: first the sum
     of the rows of its non-shared vertices over a common denominator, then
-    every row on its own."""
-    bary, _, denoms, _ = _certificate(s.vertices)
-    free = [j for j, v in enumerate(s.vertices) if v not in shared]
+    every row on its own.  They are read off the certificate of the
+    canonical translate, in sorted vertex order, and moved onto s by its
+    least vertex point v: a row (c0, cs) there is (c0 - cs . v, cs) on s."""
+    points = sorted(s.vertices)
+    bary, _, denoms, _ = _certificate(translation_key(points))
+    bary = [(c0 - sum(map(mul, cs, points[0])), cs) for c0, cs in bary]
+    free = [j for j, p in enumerate(points) if p not in shared]
     if free:
         m = lcm(*(denoms[j] for j in free))
         scaled = [(m // denoms[j], bary[j]) for j in free]
@@ -341,8 +357,8 @@ def intersection_is_common_face(s1: Simplex, s2: Simplex) -> bool:
     in conv(Z1) ∩ conv(Z2), Zi the zero set of f on si, and one of those is
     the shared hull, which lies in s1 ∩ s2 anyway.  The candidates, each
     with either sign, are the barycentric rows of either simplex and their
-    sum over its non-shared vertices.  A pair no candidate settles goes to
-    the exact LP.
+    sum over its non-shared vertices, each moved onto its simplex from the
+    class's certificate.  A pair no candidate settles goes to the exact LP.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise InputError("simplices live in different ambient dimensions")

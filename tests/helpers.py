@@ -58,6 +58,19 @@ HOLLOW_TRIANGLE_DOC = {
 }
 
 
+# Document files json cannot read, and a phrase of the reason each names:
+# text that is not UTF-8, an int literal longer than int() converts, and
+# nesting past the recursion limit.
+UNREADABLE = {
+    "not_utf8": ('{"ambient_dim": 1, "vertices": [[0]], "maximal_simplices": [[0]], '
+                 '"caf\xe9": 0}'.encode("latin-1"), "codec can't decode byte 0xe9"),
+    "long_int": (b'{"ambient_dim": 1, "vertices": [[' + b"7" * 5000
+                 + b']], "maximal_simplices": [[0]]}', "(4300 digits)"),
+    "deep": (b'{"ambient_dim": 1, "vertices": [[0]], "maximal_simplices": '
+             + b"[" * 100_000 + b"]" * 100_000 + b"}", "maximum recursion depth"),
+}
+
+
 # ---------------------------------------------------------------------------
 # membership oracles
 

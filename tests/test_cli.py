@@ -20,7 +20,7 @@ from simplat.documents import MAX_SAFE_INT, complex_to_document, document_to_jso
 from simplat.errors import IntegrityError
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SEGMENT_DOC,
-                     UNIT_SQUARE_DOC)
+                     UNIT_SQUARE_DOC, UNREADABLE)
 
 
 @pytest.fixture
@@ -402,4 +402,19 @@ class TestMalformedDocuments:
         path.write_text(json.dumps(doc))
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = cli.main(["verify", str(path), "--modulus", "6"])
-        assert code in (0, 1, 2, 3)
+        assert code == cli.EXIT_INPUT  # every mutation makes the document invalid
+
+
+class TestUnreadableDocuments:
+    @pytest.mark.parametrize("name", UNREADABLE)
+    def test_exit_input_naming_the_reason(self, tmp_path, name):
+        data, reason = UNREADABLE[name]
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+            code = cli.main(["verify", str(path), "--modulus", "6"])
+        assert code == cli.EXIT_INPUT
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: unreadable JSON: ")
+        assert reason in err.getvalue()

@@ -144,9 +144,8 @@ class TestConstruction:
     INDEX_CHECKS = {
         "SimplicialComplex": lambda v, bad: SimplicialComplex(2, v, [(0, bad)]),
         "close_under_faces": lambda v, bad: close_under_faces([[0, bad]], v),
-        # the edge {0, 1} is not in the face table until first asked for
         "simplex": lambda v, bad: close_under_faces([[0, 1, 2]], v).simplex((0, bad)),
-        # the triangle is in the table, and (0, 1.0, 2) and (0, True, 2) equal its key
+        # (0, 1.0, 2) and (0, True, 2) equal the maximal face's index tuple
         "simplex_table_hit": lambda v, bad: close_under_faces(
             [[0, 1, 2]], v).simplex((0, bad, 2)),
         "translation_class": lambda v, bad: close_under_faces(
@@ -159,6 +158,12 @@ class TestConstruction:
         # never a TypeError from sorting or indexing, never a wrapped -1
         with pytest.raises(InputError):
             self.INDEX_CHECKS[entry](self.TRIANGLE, bad)
+
+    @pytest.mark.parametrize("entry", INDEX_CHECKS)
+    def test_huge_index_is_named_by_its_digits(self, entry):
+        # an int past sys.get_int_max_str_digits has no repr
+        with pytest.raises(InputError, match="integer (of 5001 digits|too long to print)"):
+            self.INDEX_CHECKS[entry](self.TRIANGLE, 10**5000)
 
     @given(moved_generated_complexes(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -199,7 +204,9 @@ class TestLeaders:
     def test_moved_grid_certifies_one_face_per_class(self):
         # the 50 triangles of the whole grid-5 are translates of 2 shapes,
         # each certified once on its canonical translate; a copy under the
-        # same map with another shift has the same shapes and certifies none
+        # same map with another shift has the same shapes and certifies
+        # none, and neither do validation or each face's own Simplex, which
+        # certify the face's class
         base = generate_complex(2, 5, 1, seed=0)
         for seed, shift in ((1, (10**6, -10**6)), (2, (-10**6 + 3, 10**6))):
             geometry._certificate.cache_clear()
@@ -212,11 +219,11 @@ class TestLeaders:
                 assert len(set(x._canonical.values())) == 2
                 assert all(x._canonical[f].vertices == x.translation_class(f)
                            for f in x.maximal_faces)
-                assert not x._simplices  # no face's own Simplex yet
+                assert validate(x).passed
             assert set(c._canonical.values()) == set(copy._canonical.values())
             for face in c.maximal_faces:  # each face's own, on request
                 assert c.simplex(face).vertices == tuple(c.vertices[i] for i in face)
-            assert geometry._certificate.cache_info().misses == 2 + 50
+            assert geometry._certificate.cache_info().misses == 2
 
     @pytest.mark.parametrize("listing", [[[0, 1, 2]], [[3, 4, 5], [2, 1, 0]]])
     def test_degenerate_face_far_from_the_origin(self, listing):
@@ -235,14 +242,18 @@ class TestLeaders:
 
 
 class TestFaceTable:
+    """SimplicialComplex.simplex builds a face's Simplex on each request
+    and keeps none."""
+
     def test_repeated_calls_return_one_object(self):
         c = from_doc(L_SHAPE_DOC)
-        for face in c.faces:  # lower faces are built on first request
+        for face in c.faces:
             s = c.simplex(face)
-            assert c.simplex(face) is s
-            assert c.simplex(tuple(sorted(face, reverse=True))) is s
-            assert c.simplex(sorted(face)) is s
-        assert c.simplex((0, 1, 4)) is c.simplex(frozenset({4, 1, 0}))
+            assert s.vertices == tuple(c.vertices[i] for i in sorted(face))
+            assert c.simplex(face) == s
+            assert c.simplex(tuple(sorted(face, reverse=True))) == s
+            assert c.simplex(sorted(face)) == s
+        assert c.simplex((0, 1, 4)) == c.simplex(frozenset({4, 1, 0}))
 
     def test_out_of_range_index_still_raises(self):
         c = from_doc(UNIT_SQUARE_DOC)
@@ -322,6 +333,17 @@ class TestValidate:
         assert validate(generate_complex(dim, grid, 1, seed=0)).passed
         assert len(solves) == len(fallbacks)
         assert all(not shared for shared in fallbacks)
+
+    @pytest.mark.parametrize("dim, grid, keys", [(2, 6, 2), (3, 3, 6)])
+    def test_validation_certifies_one_simplex_per_class(self, dim, grid, keys):
+        # every simplex is certified on its class's canonical translate, so
+        # validation computes one certificate per translation key of the
+        # maximal faces, not one per face
+        c = generate_complex(dim, grid, 1, seed=0)
+        assert len({c.translation_class(f) for f in c.maximal_faces}) == keys
+        geometry._certificate.cache_clear()
+        assert validate(c).passed
+        assert geometry._certificate.cache_info().misses == keys
 
     @pytest.mark.parametrize("dim, grid, extra", [
         (2, 3, ((1, 1), (2, 1), (1, 2))),  # across the diagonal of one cell

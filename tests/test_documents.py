@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from simplat.documents import (MAX_AMBIENT_DIM, MAX_SAFE_INT,
                                load_complex, parse_document, read_document)
 from simplat.errors import InputError, ParseError, ValidationError
 
-from helpers import L_SHAPE_DOC, UNIT_SQUARE_DOC, moved_generated_complexes
+from helpers import L_SHAPE_DOC, UNIT_SQUARE_DOC, UNREADABLE, moved_generated_complexes
 
 TRIANGLE_DOC = {
     "ambient_dim": 2,
@@ -79,8 +80,45 @@ class TestParse:
             parse_document({**TRIANGLE_DOC, "maximal_simplices": [[0, 1, 5]]})
 
     def test_rejects_malformed_json_text(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_document("{not json")
+        assert str(info.value) == ("invalid JSON: Expecting property name enclosed "
+                                   "in double quotes: line 1 column 2 (char 1)")
+
+    def test_huge_int_is_named_by_its_digits(self):
+        big = 10**5000
+        cases = [
+            ({**TRIANGLE_DOC, "vertices": [[0, 0], [1, -big], [0, 1]]},
+             "vertex 1 coordinate a negative integer of 5001 digits exceeds "
+             "the JSON-safe integer range"),
+            ({**TRIANGLE_DOC, "vertices": [[0, 0], [1, big, 0], [0, 1]]},
+             "vertex 1 must be a list of 2 coordinates, got a list holding an "
+             "integer too long to print"),
+            ({**TRIANGLE_DOC, "ambient_dim": big},
+             "ambient_dim must be an integer in [1, 6], got an integer of 5001 digits"),
+            ({**TRIANGLE_DOC, "maximal_simplices": [[0, 1, big]]},
+             "maximal simplex 0 has a bad vertex index an integer of 5001 digits"),
+        ]
+        for doc, message in cases:
+            with pytest.raises(ParseError) as info:
+                parse_document(doc)
+            assert str(info.value) == message
+
+
+class TestUnreadable:
+    @pytest.mark.parametrize("name", UNREADABLE)
+    def test_parse_error_names_the_reason(self, name, tmp_path):
+        data, reason = UNREADABLE[name]
+        sources = [data]
+        if name != "not_utf8":
+            sources.append(data.decode())
+        for source in sources:
+            with pytest.raises(ParseError, match="^unreadable JSON: .*" + re.escape(reason)):
+                parse_document(source)
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="^unreadable JSON: .*" + re.escape(reason)):
+            read_document(path)
 
 
 class TestLoad:

@@ -102,6 +102,18 @@ class TestCheckInt:
             check_int(bad, "grid")
         assert str(info.value) == f"grid must be an integer, got {bad!r}"
 
+    def test_huge_int_is_named_by_its_digits(self):
+        # an int past sys.get_int_max_str_digits has no repr
+        with pytest.raises(InputError) as info:
+            check_int(-10**5000, "t", 1)
+        assert str(info.value) == "t must be an integer >= 1, got a negative integer of 5001 digits"
+        with pytest.raises(InputError) as info:
+            check_int(-(10**5000 - 1), "t", 1)
+        assert str(info.value) == "t must be an integer >= 1, got a negative integer of 5000 digits"
+        with pytest.raises(InputError) as info:
+            check_int([10**5000], "grid")
+        assert str(info.value) == "grid must be an integer, got a list holding an integer too long to print"
+
     def test_lower_bound_in_the_message(self):
         with pytest.raises(InputError) as info:
             check_int(0, "dilation factor", 1)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
+from unittest import mock
 
 import pytest
 import sympy
@@ -11,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simplat import (Simplex, barycentric_coordinates, bounding_box,
-                     contains_point, dilate, intersection_is_common_face)
+                     contains_point, dilate, exactlp, intersection_is_common_face)
 from simplat.errors import InputError, ValidationError
 from simplat.geometry import _certificate, _common_face_lp, hermite_normal_form
 
@@ -279,6 +281,41 @@ class TestCommonFace:
         assert _common_face_lp(a, b, shared) == _common_face_lp(b, a, shared)
         assert intersection_is_common_face(a, b) == lp
         assert intersection_is_common_face(b, a) == lp
+
+    @given(simplex_pairs(), st.sampled_from((10**6, -10**6)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_joint_translation_needs_the_same_lps(self, pair, base, data):
+        # a joint lattice translation changes no verdict, and each
+        # simplex's rows, read off its class's certificate, move with it,
+        # so the same candidates settle the pair wherever it lies
+        shift = data.draw(st.tuples(*[st.integers(base - 5, base + 5)] * pair[0].ambient_dim))
+        moved = [Simplex(tuple([tuple(map(add, v, shift)) for v in s.vertices]))
+                 for s in pair]
+        calls = []
+        for a, b in (pair, moved, pair[::-1], moved[::-1]):
+            with mock.patch.object(exactlp, "maximize", wraps=exactlp.maximize) as lp:
+                verdict = intersection_is_common_face(a, b)
+            calls.append((verdict, lp.call_count))
+        assert calls[0] == calls[1] and calls[2] == calls[3]
+
+    @pytest.mark.parametrize("pair", [
+        (((0, 0), (1, 0), (0, 1)), ((1, 0), (0, 1), (1, 1))),  # a shared edge
+        (((0, 0), (1, 0), (0, 1)), ((1, 0), (2, 0), (1, 1))),  # a shared vertex
+        (((0, 0), (2, 0), (0, 2)), ((2, 0), (0, 2), (2, 2))),  # a longer edge
+        (((0, 0), (2, 0), (0, 2)), ((2, 1), (1, 2), (2, 2))),  # boxes meet
+        (((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+         ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))),  # a shared triangle
+    ])
+    @pytest.mark.parametrize("shift", [(10**6, -10**6, 7), (-10**6 + 3, 10**6, -10**6)])
+    def test_proper_pair_far_from_the_origin_needs_no_lp(self, pair, shift):
+        def refuse(*args):
+            raise AssertionError("the certificate should settle this pair")
+
+        # a 2-D pair moves by the first two coordinates of the shift
+        a, b = (Simplex(tuple([tuple(map(add, v, shift)) for v in vs])) for vs in pair)
+        with mock.patch.object(exactlp, "maximize", refuse):
+            assert intersection_is_common_face(a, b)
+            assert intersection_is_common_face(b, a)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
