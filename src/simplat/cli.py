@@ -106,12 +106,12 @@ def _cmd_verify(args) -> int:
     complex_ = _load(args.file)
     report = run_verify(complex_, args.modulus, input_id=Path(args.file).stem)
     _emit(report)
-    sub_failures = sum(1 for r in report.subchecks if not r.passed)
+    sub_failures, subchecks = report.subcheck_tally()
     _note(f"count {report.count} ≡ {report.count_residue}, euler {report.euler} "
           f"≡ {report.euler_residue} (mod {report.modulus}) at dilation "
           f"{report.dilation}: {report.verdict}")
     if sub_failures:
-        _note(f"{sub_failures} of {len(report.subchecks)} per-simplex sub-checks failed")
+        _note(f"{sub_failures} of {subchecks} per-simplex sub-checks failed")
     return EXIT_PASS if report.all_passed else EXIT_VERDICT_FAIL
 
 

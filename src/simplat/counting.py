@@ -16,18 +16,20 @@ The additive counter sums relative-interior counts over all faces, which is
 the designated fast path for large dilations: each interior count is the
 int sum h_k C(t+k-1, m) over the face's integer h*-vector h, by
 Ehrhart-Macdonald reciprocity, and h is computed once per lattice class,
-at a cost that follows the normalized volume.  A face's translation key
-fixes h, so faces are counted per key, in a census of the complex that no
-dilation changes, and each key's lattice class is read off the key's own
-cached certificate.
+at a cost that follows the normalized volume.  The count is read off a
+census of the complex that no dilation changes: the rows A_m[k], the sum
+of h_k over the m-faces.  A_m[0] is the f-vector, and a face of a
+unimodular maximal face adds nothing beyond it, so only the faces that lie
+in no unimodular maximal face are keyed by translation and read an h*; on
+a unimodular complex the count is sum f_m C(t-1, m).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
-from math import prod
+from itertools import combinations, product
+from math import comb, prod
 from operator import add, mul
 
 from .complexes import SimplicialComplex
@@ -139,8 +141,10 @@ def enumeration_estimate(c: SimplicialComplex, t: int) -> int:
     """Total box points count_complex would scan at dilation t: the sum of
     every maximal face's box points, each read off the canonical translate
     of its class (see SimplicialComplex), since a lattice translate has a
-    box of the same size."""
-    return sum([box_points(s, t) for s in c._canonical.values()])
+    box of the same size: each class's box once, times its faces."""
+    classes = {id(s): s for s in c._canonical.values()}
+    faces = Counter(map(id, c._canonical.values()))
+    return sum([n * box_points(classes[i], t) for i, n in faces.items()])
 
 
 def count_complex(c: SimplicialComplex, t: int) -> int:
@@ -184,29 +188,58 @@ def count_complex(c: SimplicialComplex, t: int) -> int:
     return total
 
 
-def _additive_census(c: SimplicialComplex) -> list[tuple]:
-    """(key, faces, h*) for each translation key of the faces of c: the
-    number of faces with that key and the h*-vector they share.
+def _additive_census(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+    """The rows A_0..A_dim of c: A_m[k] sums h*_k over the m-faces of c,
+    so that the additive count at t is sum A_m[k] C(t+k-1, m).
 
-    Translates share h*, so one per key serves every face with it.  The
-    key is itself the vertex tuple of a translate of its faces, never
-    degenerate since construction certifies every maximal face's class,
-    so its lattice class comes from the certificate cache under the key.
-    The maximal faces' keys are read off their canonical translates (see
-    SimplicialComplex); only the lower faces are keyed here.
+    Every h* has h*_0 = 1, so A_m[0] is f_m.  A face of a unimodular
+    simplex is unimodular in its own affine lattice (part of a lattice
+    basis spans a saturated sublattice), so its h* is (1, 0, ...), and
+    only the faces that lie in no unimodular maximal face add to
+    A_m[k >= 1].  A maximal face's class is unimodular when the diagonal of
+    its lattice class, read off the certificate construction cached for the
+    canonical translate (see SimplicialComplex), has product 1.  The other
+    faces are counted per translation key, whose h* serves every translate;
+    on a unimodular complex no face is keyed and no h* is read.
     """
-    from .ehrhart import _class_hstar
-    keys = Counter([s.vertices for s in c._canonical.values()])
-    maximal = set(map(frozenset, c._canonical))
-    verts = c.vertices
-    keys.update(translation_key([verts[i] for i in f]) for f in c.faces if f not in maximal)
-    return [(key, n, _class_hstar(_certificate(key)[3])) for key, n in keys.items()]
+    rows = [[n] + [0] * m for m, n in enumerate(c.f_vector())]
+    unimodular: dict[int, bool] = {}  # id of a canonical translate -> unimodular
+    rest = []
+    for face, s in c._canonical.items():
+        u = unimodular.get(id(s))
+        if u is None:
+            lattice = _certificate(s.vertices)[3]
+            u = unimodular[id(s)] = prod([h[j] for j, h in enumerate(lattice)]) == 1
+        if not u:
+            rest.append(face)
+    if rest:
+        from .ehrhart import _class_hstar
+        covered = set()  # faces of unimodular maximal faces, then faces keyed
+        for face, s in c._canonical.items():
+            if unimodular[id(s)]:
+                for r in range(1, len(face)):
+                    covered.update(combinations(face, r))
+        verts = c.vertices
+        keys = Counter()
+        for face in rest:
+            for r in range(1, len(face) + 1):
+                for sub in combinations(face, r):
+                    if sub not in covered:
+                        covered.add(sub)
+                        keys[translation_key([verts[i] for i in sub])] += 1
+        for key, n in keys.items():
+            h = _class_hstar(_certificate(key)[3]).entries
+            row = rows[len(h) - 1]
+            for k in range(1, len(h)):
+                row[k] += n * h[k]
+    return tuple(map(tuple, rows))
 
 
-def _census_count(census, t: int) -> int:
-    """The additive count at dilation t of a complex with the given
-    census: each key's interior count times its faces."""
-    return sum([n * h.interior(t) for _, n, h in census])
+def _census_count(rows, t: int) -> int:
+    """The additive count at dilation t of a complex with the given census
+    rows: sum A_m[k] C(t+k-1, m) over the nonzero entries."""
+    return sum([a * comb(t + k - 1, m)
+                for m, row in enumerate(rows) for k, a in enumerate(row) if a])
 
 
 def count_complex_additive(c: SimplicialComplex, t: int) -> int:
@@ -216,9 +249,8 @@ def count_complex_additive(c: SimplicialComplex, t: int) -> int:
 
     The interior of t*F counts as sum h_k C(t+k-1, m) for the h*-vector h
     of each m-face F (Ehrhart-Macdonald reciprocity), an int whose cost does
-    not grow with t.  Translates share h, so the faces are counted per
-    translation key (_additive_census), and each key adds its count times
-    its faces.
+    not grow with t.  The sums of h over the faces of each dimension are
+    the census rows (_additive_census), whose first column is the f-vector.
     """
     check_int(t, "dilation factor", 1)
     return _census_count(_additive_census(c), t)

@@ -42,8 +42,15 @@ class ComplexDocument:
 
 def parse_document(source) -> ComplexDocument:
     """Parse a JSON string/bytes or an already-decoded dict into a document,
-    enforcing the schema strictly; text json cannot read is refused too."""
-    if isinstance(source, (str, bytes)):
+    enforcing the schema strictly; text json cannot read is refused too.
+    Bytes are decoded as strict UTF-8 first, as a document file is read,
+    so a byte-order mark or a UTF-16/32 encoding is refused here as well."""
+    if isinstance(source, bytes):
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"unreadable JSON: document is not UTF-8 text: {exc}") from exc
+    if isinstance(source, str):
         try:
             data = json.loads(source)
         except json.JSONDecodeError as exc:
@@ -114,14 +121,13 @@ def load_complex(source) -> SimplicialComplex:
 
 
 def read_document(path) -> ComplexDocument:
-    """Read and parse a document file, which must be UTF-8 text."""
+    """Read and parse a document file, which must be UTF-8 text: its bytes
+    go to parse_document, so a file and its bytes get the same verdict."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"unreadable JSON: {path} is not UTF-8 text: {exc}") from exc
-    return parse_document(text)
+    return parse_document(data)
 
 
 def complex_to_document(c: SimplicialComplex) -> ComplexDocument:

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex, euler_characteristic, generate_complex
 from .counting import (DEFAULT_ENUMERATION_LIMIT, _additive_census,
@@ -26,9 +27,55 @@ PROBE_ROW_LIMIT = 100_000
 FUZZ_KEEP_CYCLE = (Fraction(1), Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
 
 
+class _FaceReports(NamedTuple):
+    """The sub-checks of a run in compact form: each maximal face's vertex
+    tuple, in index order, and its class's reports, one per plan term, in
+    one tuple that every face of the class shares."""
+
+    faces: tuple[tuple[LatticePoint, ...], ...]
+    reports: tuple[tuple[SimplexCongruenceReport, ...], ...]
+
+
+class _Subchecks:
+    """The subchecks field of VerificationReport, held as _FaceReports and
+    expanded on every read: one SimplexCongruenceReport per face and term,
+    its class's report with the face's vertices.  The expansion is not
+    kept.  A tuple of reports given to the constructor is held as one face
+    per report."""
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            raise AttributeError("subchecks")  # so the field has no default
+        held = report.__dict__["_subchecks"]
+        return tuple([_with_vertices(r, vertices)
+                      for vertices, reports in zip(*held) for r in reports])
+
+    def __set__(self, report, value):
+        if type(value) is not _FaceReports:
+            value = _FaceReports(tuple([r.vertices for r in value]),
+                                 tuple([(r,) for r in value]))
+        report.__dict__["_subchecks"] = value
+
+
+def _with_vertices(r: SimplexCongruenceReport, vertices) -> SimplexCongruenceReport:
+    """A copy of r with the given vertices, its fields set directly, as
+    the constructor would leave them."""
+    copy = object.__new__(SimplexCongruenceReport)
+    copy.__dict__.update(r.__dict__, vertices=vertices)
+    return copy
+
+
 @dataclass(frozen=True)
 class VerificationReport(Report):
-    """One run of the main congruence on one complex."""
+    """One run of the main congruence on one complex.
+
+    subchecks reads as a tuple of one report per maximal face and plan
+    term, in face index order, but the report holds only each face's vertex
+    tuple and its translation class's reports (see _Subchecks), and expands
+    them on each read or print.  So no expanded tuple and no per-face
+    report is kept alive with the report, and all_passed and
+    subcheck_tally() read the class reports without expanding them.
+    """
 
     input_id: str
     modulus: int
@@ -40,7 +87,7 @@ class VerificationReport(Report):
     count_residue: int
     euler_residue: int
     verdict: str  # "pass" or "fail"
-    subchecks: tuple[SimplexCongruenceReport, ...]
+    subchecks: tuple[SimplexCongruenceReport, ...] = _Subchecks()
 
     @property
     def passed(self) -> bool:
@@ -48,7 +95,13 @@ class VerificationReport(Report):
 
     @property
     def all_passed(self) -> bool:
-        return self.passed and all(r.passed for r in self.subchecks)
+        return self.passed and not self.subcheck_tally()[0]
+
+    def subcheck_tally(self) -> tuple[int, int]:
+        """(failed, total) over the sub-checks, read off the class reports."""
+        reports = self.__dict__["_subchecks"].reports
+        return (sum([not r.passed for rs in reports for r in rs]),
+                sum(map(len, reports)))
 
 
 def _counter(c: SimplicialComplex, t: int):
@@ -82,10 +135,11 @@ def run_verify(c: SimplicialComplex, n: int, *,
     LRU cache of CACHE_SIZE entries keyed by the translation key, p and k,
     which every complex shares: a lattice translate of s shifts p^k*s by a
     lattice vector, which changes neither its count nor the box that picks
-    the method.  Every face gets its class's reports with its own vertices,
-    in index order, and its own Simplex is never built.  Grouping by
-    lattice class instead would need every face's certificate just to read
-    the key.
+    the method.  The report holds each face's vertices and its class's
+    reports, which stand for the face's own reports with its vertices (see
+    VerificationReport); no face's own Simplex or report is built.
+    Grouping by lattice class instead would need every face's certificate
+    just to read the key.
     """
     plan = dilation_plan(c.ambient_dim, n)
     t = plan.dilation
@@ -93,16 +147,16 @@ def run_verify(c: SimplicialComplex, n: int, *,
     counter, method = _counter(c, t)
     count = counter(c, t)
     terms = [(term.prime, term.dilation_exponent) for term in plan.terms]
-    subchecks = []
+    verts = c.vertices
+    by_class: dict[int, tuple] = {}  # id of a canonical translate -> its reports
+    faces, reports = [], []
     for face, s in c._canonical.items():
-        vertices = tuple([c.vertices[i] for i in face])
-        for p, k in terms:
-            r = _class_subcheck(s.vertices, p, k)
-            subchecks.append(SimplexCongruenceReport(
-                vertices=vertices, intrinsic_dim=r.intrinsic_dim, prime=p,
-                exponent=k, log_floor=r.log_floor, modulus=r.modulus,
-                count=r.count, residue=r.residue, method=r.method,
-                passed=r.passed))
+        faces.append(tuple([verts[i] for i in face]))
+        rs = by_class.get(id(s))
+        if rs is None:
+            rs = by_class[id(s)] = tuple([_class_subcheck(s.vertices, p, k)
+                                          for p, k in terms])
+        reports.append(rs)
     count_residue = count % n
     euler_residue = euler % n
     return VerificationReport(
@@ -110,7 +164,7 @@ def run_verify(c: SimplicialComplex, n: int, *,
         count=count, method=method, count_residue=count_residue,
         euler_residue=euler_residue,
         verdict="pass" if count_residue == euler_residue else "fail",
-        subchecks=tuple(subchecks))
+        subchecks=_FaceReports(tuple(faces), tuple(reports)))
 
 
 @dataclass(frozen=True)

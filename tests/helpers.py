@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
-from math import lcm, prod
+from functools import cmp_to_key
+from itertools import combinations, permutations, product
+from math import gcd, lcm, prod
 
 import sympy
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from simplat import Simplex, close_under_faces, generate_complex
+from simplat import Simplex, close_under_faces, generate_complex, validate, verify
 from simplat.counting import _check_budget, _free_axis, _lines, enumeration_estimate
-from simplat.ehrhart import hstar
+from simplat.ehrhart import SimplexCongruenceReport, hstar
+from simplat.numtheory import dilation_plan
 from simplat.geometry import bounding_box, hermite_normal_form, membership_certificate
 from simplat.errors import InputError, SimplatError, check_int
 
@@ -51,6 +54,14 @@ L_SHAPE_DOC = {
     ],
 }
 
+# A triangle of normalized volume 5 and a unimodular one sharing an edge:
+# by Pick, t times their union holds 3t^2 + 2t + 1 lattice points
+MIXED_DOC = {
+    "ambient_dim": 2,
+    "vertices": [[0, 0], [3, 1], [1, 2], [0, 1]],
+    "maximal_simplices": [[0, 1, 2], [0, 2, 3]],
+}
+
 HOLLOW_TRIANGLE_DOC = {
     "ambient_dim": 2,
     "vertices": [[0, 0], [1, 0], [0, 1]],
@@ -69,6 +80,18 @@ UNREADABLE = {
     "deep": (b'{"ambient_dim": 1, "vertices": [[0]], "maximal_simplices": '
              + b"[" * 100_000 + b"]" * 100_000 + b"}", "maximum recursion depth"),
 }
+
+
+# The square document in encodings other than UTF-8, which a document file
+# is: each is refused with one message, whether read from a file or parsed
+# from its bytes, though the text it encodes is a valid document.
+_SQUARE_TEXT = '{"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]], ' \
+    '"maximal_simplices": [[0, 1, 2], [1, 2, 3]]}'
+NOT_UTF8 = {name: (_SQUARE_TEXT.encode(codec), codec, message) for name, codec, message in (
+    ("utf8_bom", "utf-8-sig", "invalid JSON: Unexpected UTF-8 BOM"),
+    ("utf16", "utf-16", "unreadable JSON: document is not UTF-8 text"),
+    ("utf16_le", "utf-16-le", "invalid JSON: Expecting property name"),
+    ("utf32", "utf-32", "unreadable JSON: document is not UTF-8 text"))}
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +301,20 @@ def facewise_additive(c, t: int) -> int:
     return sum(hstar(c.simplex(f)).interior(t) for f in c.faces)
 
 
+def relative_volume(points) -> int:
+    """Normalized volume of the simplex on the points in its own affine
+    lattice: the gcd of the m x m minors of its edge matrix (sympy), which
+    is the index of the lattice its edges span in the lattice points of
+    their span, so 1 exactly for a unimodular simplex."""
+    v0 = points[0]
+    edges = sympy.Matrix([[a - b for a, b in zip(v, v0)] for v in points[1:]])
+    m = len(points) - 1
+    if not m:
+        return 1
+    return abs(int(sympy.gcd([edges.extract(list(range(m)), list(cols)).det()
+                          for cols in combinations(range(len(v0)), m)])))
+
+
 def facewise_estimate(c, t: int) -> int:
     """The box points count_complex would scan at dilation t, summed over
     every maximal face with its box read off its own vertex points."""
@@ -308,6 +345,29 @@ def translation_class_count(c) -> int:
         else:
             reps.append(list(points))
     return len(reps)
+
+
+# ---------------------------------------------------------------------------
+# sub-check oracle: run_verify's sub-checks as it built them before its
+# report held one report per class, a new report per face and plan term
+
+def facewise_subchecks(c, n: int) -> tuple[SimplexCongruenceReport, ...]:
+    """One report per maximal face and plan term, in face index order: its
+    class's report from verify._class_subcheck, built again with the
+    face's own vertices."""
+    terms = [(term.prime, term.dilation_exponent)
+             for term in dilation_plan(c.ambient_dim, n).terms]
+    subchecks = []
+    for face, s in c._canonical.items():
+        vertices = tuple([c.vertices[i] for i in face])
+        for p, k in terms:
+            r = verify._class_subcheck(s.vertices, p, k)
+            subchecks.append(SimplexCongruenceReport(
+                vertices=vertices, intrinsic_dim=r.intrinsic_dim, prime=p,
+                exponent=k, log_floor=r.log_floor, modulus=r.modulus,
+                count=r.count, residue=r.residue, method=r.method,
+                passed=r.passed))
+    return tuple(subchecks)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +524,79 @@ def moved_generated_complexes(draw):
     c = generate_complex(dim, grid, keep, seed=draw(st.integers(0, 2**16)))
     shift = draw(st.tuples(*[st.integers(-10**6, 10**6)] * dim))
     return moved_complex(c, random.Random(draw(st.integers(0, 2**16))), shift)
+
+
+def _by_angle(a, b) -> int:
+    """Order nonzero plane vectors by angle in [0, 2 pi), exactly."""
+    def half(v):
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+    if half(a) != half(b):
+        return half(a) - half(b)
+    cross = a[0] * b[1] - a[1] * b[0]
+    return (cross < 0) - (cross > 0)
+
+
+def star_triangles(spokes):
+    """Triangles (0, q_i, q_j) of consecutive spokes q_i, q_j by angle
+    that turn by less than pi, as index triples with the origin at index
+    0 and spoke i at index i + 1: the cones over them meet only in shared
+    spokes, so they form a valid complex.  Spokes must point in distinct
+    directions."""
+    order = sorted(range(len(spokes)), key=cmp_to_key(
+        lambda i, j: _by_angle(spokes[i], spokes[j])))
+    triangles = []
+    for i, j in zip(order, order[1:] + order[:1]):
+        a, b = spokes[i], spokes[j]
+        if i != j and a[0] * b[1] - a[1] * b[0] > 0:
+            triangles.append((0, i + 1, j + 1))
+    return triangles
+
+
+@st.composite
+def mixed_complexes(draw, moved: bool = True):
+    """A valid complex in dimension 1-3 whose maximal faces are unimodular
+    or not as drawn, sharing faces across the two kinds: consecutive
+    segments of a line in 1-D, a star of triangles around the origin in
+    2-D, and in 3-D the cones over such a star from an apex above it and
+    one below, which share the star's triangles.  It is shifted near 0 or
+    +-10^6, its vertex indices are shuffled, and when moved it is mapped by
+    a random unimodular map as well."""
+    dim = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+    unit = st.integers(-1, 1)
+    if dim == 1:
+        stops = draw(st.lists(st.integers(0, 6), min_size=2, max_size=5, unique=True))
+        points = [(x,) for x in sorted(stops)]
+        maximal = [(i, i + 1) for i in range(len(points) - 1)]
+    else:
+        # mostly neighbours among the 8 unit directions, which span
+        # unimodular triangles, and spokes of length 1
+        coordinate = draw(st.sampled_from((unit, unit, small)))
+        directions = draw(st.lists(st.tuples(coordinate, coordinate).filter(
+            lambda v: gcd(*v) == 1), min_size=2, max_size=5, unique=True))
+        lengths = draw(st.lists(st.sampled_from((1, 1, 2)), min_size=len(directions),
+                                max_size=len(directions)))
+        spokes = [(k * x, k * y) for k, (x, y) in zip(lengths, directions)]
+        triangles = star_triangles(spokes)
+        assume(triangles)
+        points = [(0, 0)] + spokes
+        maximal = triangles
+        if dim == 3:
+            points = [p + (0,) for p in points]
+            n = len(points)
+            points += [(draw(small), draw(small), 1), (draw(small), draw(small), -1)]
+            maximal = [f + (apex,) for f in triangles for apex in (n, n + 1)]
+    shift = draw(st.tuples(*[st.sampled_from((0, -10**6, 10**6 - 3))] * dim))
+    order = draw(st.permutations(range(len(points))))
+    vertices = [None] * len(points)
+    for i, p in enumerate(points):
+        vertices[order[i]] = tuple(a + b for a, b in zip(p, shift))
+    c = close_under_faces([[order[i] for i in f] for f in maximal], vertices,
+                          ambient_dim=dim)
+    assert validate(c).passed, "a mixed complex must be valid"
+    if moved:
+        c = moved_complex(c, random.Random(draw(st.integers(0, 2**16))), (0,) * dim)
+    return c
 
 
 def random_simplex(rng: random.Random, ambient: int, coord_max: int = 3,

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplat import cli, generate_complex
-from simplat.documents import MAX_SAFE_INT, complex_to_document, document_to_json
-from simplat.errors import IntegrityError
+from simplat.documents import (MAX_SAFE_INT, complex_to_document, document_to_json,
+                               parse_document)
+from simplat.errors import IntegrityError, ParseError
 
-from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SEGMENT_DOC,
+from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, NOT_UTF8, UNIT_SEGMENT_DOC,
                      UNIT_SQUARE_DOC, UNREADABLE)
 
 
@@ -418,3 +419,20 @@ class TestUnreadableDocuments:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: unreadable JSON: ")
         assert reason in err.getvalue()
+
+
+class TestNotUtf8Documents:
+    @pytest.mark.parametrize("name", NOT_UTF8)
+    def test_exit_input_with_the_parse_message(self, tmp_path, name):
+        data, _, message = NOT_UTF8[name]
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as parsed:
+            parse_document(data)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+            code = cli.main(["verify", str(path), "--modulus", "6"])
+        assert code == cli.EXIT_INPUT
+        assert out.getvalue() == ""
+        assert err.getvalue() == f"error: {parsed.value}\n"
+        assert message in err.getvalue()

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,15 +14,18 @@ from hypothesis import strategies as st
 
 from simplat import (Simplex, box_points, close_under_faces, count_complex,
                      count_complex_additive, count_relative_interior,
-                     count_simplex, dilate, enumeration_estimate,
-                     generate_complex)
+                     count_simplex, counting, dilate, ehrhart,
+                     enumeration_estimate, generate_complex, geometry, hstar,
+                     probe_dilations, verify)
 from simplat.errors import InputError, ResourceLimitError, ValidationError
+from simplat.geometry import translation_key
 from simplat.numtheory import dilation_plan
 
-from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
+from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, MIXED_DOC, UNIT_SQUARE_DOC,
                      facewise_additive, facewise_estimate, facewise_union_count,
-                     hollow_triangle_count, l_shape_count,
-                     moved_complex, random_simplex, scan_points, square_count,
+                     hollow_triangle_count, l_shape_count, mixed_complexes,
+                     moved_complex, random_simplex, relative_volume,
+                     scan_points, square_count,
                      sympy_barycentric, translation_class_count, union_count)
 
 UNIT_TRIANGLE = Simplex(((0, 0), (1, 0), (0, 1)))
@@ -421,3 +426,85 @@ class TestShiftedUnionCount:
     def test_whole_grids_at_planned_dilations(self, dim, grid, n, seed, shift):
         c, t = grid_case(dim, grid, seed, shift, dilation_plan(dim, n).dilation)
         assert count_complex(c, t) == (grid * t + 1) ** dim == facewise_union_count(c, t)
+
+
+class TestCensusRows:
+    """The census rows A_m[k], the sum of h*_k over the m-faces, which
+    key only the faces that lie in no unimodular maximal face, on complexes
+    whose unimodular and non-unimodular maximal faces share faces."""
+
+    @given(mixed_complexes(), st.one_of(st.integers(1, 10), st.integers(1, 10**6)))
+    @example(from_doc(MIXED_DOC), 10**6)
+    @example(from_doc(MIXED_DOC), 1)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_facewise_sum(self, c, t):
+        rows = counting._additive_census(c)
+        assert [row[0] for row in rows] == list(c.f_vector())
+        assert [len(row) for row in rows] == list(range(1, len(rows) + 1))
+        assert counting._census_count(rows, t) == facewise_additive(c, t)
+        assert count_complex_additive(c, t) == facewise_additive(c, t)
+
+    def test_mixed_document_counts_by_pick(self, monkeypatch):
+        c = from_doc(MIXED_DOC)
+        keyed = []
+
+        def key(points):
+            keyed.append(sorted(points))
+            return translation_key(points)
+
+        monkeypatch.setattr(counting, "translation_key", key)
+        # only the faces the unimodular triangle does not hold are keyed:
+        # the volume-5 triangle, whose h* is (1, 2, 2), its vertex (3, 1)
+        # and its two primitive edges through that vertex
+        assert counting._additive_census(c) == ((4,), (5, 0), (2, 2, 2))
+        assert sorted(keyed) == [[(0, 0), (1, 2), (3, 1)], [(0, 0), (3, 1)],
+                                 [(1, 2), (3, 1)], [(3, 1)]]
+        for t in (1, 2, 3, 10**6):
+            assert count_complex_additive(c, t) == 3 * t * t + 2 * t + 1
+        assert count_complex_additive(c, 10**6) == 3000002000001
+        for t in (1, 2, 3, 4):
+            assert count_complex(c, t) == 3 * t * t + 2 * t + 1
+
+    @given(mixed_complexes(moved=False))
+    @example(from_doc(MIXED_DOC))
+    @settings(max_examples=40, deadline=None)
+    def test_union_count_and_probe_rows(self, c):
+        for t in (1, 2, 3):
+            assert count_complex_additive(c, t) == count_complex(c, t)
+        # a budget below every estimate puts every probe row on the census
+        with mock.patch.object(verify, "VERIFY_ENUMERATION_BUDGET", -1):
+            rows = probe_dilations(c, 6, 12).rows
+        assert [r.count for r in rows] == [count_complex(c, t) for t in range(1, 13)]
+
+    @given(mixed_complexes())
+    @example(from_doc(MIXED_DOC))
+    @settings(max_examples=60, deadline=None)
+    def test_faces_of_unimodular_faces_are_unimodular(self, c):
+        # the lemma the rows rest on, with unimodularity read off the minors
+        # of the edge matrix (sympy), not the library's lattice class
+        for face in c.maximal_faces:
+            points = [c.vertices[i] for i in face]
+            lattice = geometry.lattice_class(c.simplex(face))
+            assert prod(h[j] for j, h in enumerate(lattice)) == relative_volume(points)
+            if relative_volume(points) != 1:
+                continue
+            for r in range(1, len(face) + 1):
+                for sub in combinations(face, r):
+                    assert relative_volume([c.vertices[i] for i in sub]) == 1
+                    assert hstar(c.simplex(sub)).entries == (1,) + (0,) * (r - 1)
+
+    @pytest.mark.parametrize("dim, grid, seed, shift", [
+        (1, 6, 1, (10**6,)), (2, 5, 2, (-10**6, 10**6)), (3, 2, 3, (0, 0, 0))])
+    def test_unimodular_complex_reads_no_key_and_no_hstar(self, monkeypatch, dim,
+                                                           grid, seed, shift):
+        c, _ = grid_case(dim, grid, seed, shift, 1)
+
+        def refused(*args):
+            raise AssertionError("read on a unimodular complex")
+
+        monkeypatch.setattr(counting, "translation_key", refused)
+        monkeypatch.setattr(ehrhart, "_class_hstar", refused)
+        rows = counting._additive_census(c)
+        assert rows == tuple((f,) + (0,) * m for m, f in enumerate(c.f_vector()))
+        for t in (1, 7, 10**6):
+            assert count_complex_additive(c, t) == (grid * t + 1) ** dim

@@ -14,7 +14,8 @@ from simplat.documents import (MAX_AMBIENT_DIM, MAX_SAFE_INT,
                                load_complex, parse_document, read_document)
 from simplat.errors import InputError, ParseError, ValidationError
 
-from helpers import L_SHAPE_DOC, UNIT_SQUARE_DOC, UNREADABLE, moved_generated_complexes
+from helpers import (L_SHAPE_DOC, NOT_UTF8, UNIT_SQUARE_DOC, UNREADABLE,
+                     moved_generated_complexes)
 
 TRIANGLE_DOC = {
     "ambient_dim": 2,
@@ -119,6 +120,20 @@ class TestUnreadable:
         path.write_bytes(data)
         with pytest.raises(ParseError, match="^unreadable JSON: .*" + re.escape(reason)):
             read_document(path)
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("name", NOT_UTF8)
+    def test_bytes_and_file_get_one_verdict(self, name, tmp_path):
+        data, codec, message = NOT_UTF8[name]
+        assert parse_document(data.decode(codec)) == parse_document(UNIT_SQUARE_DOC)
+        with pytest.raises(ParseError, match="^" + re.escape(message)) as parsed:
+            parse_document(data)
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as read:
+            read_document(path)
+        assert str(read.value) == str(parsed.value)
 
 
 class TestLoad:

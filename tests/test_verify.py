@@ -2,26 +2,34 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
 import random
 import re
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplat import (Simplex, SimplicialComplex, close_under_faces,
+from simplat import (Simplex, SimplicialComplex, VerificationReport, cli,
+                     close_under_faces, complex_to_document,
                      count_complex_additive, counting, generate_complex, geometry,
                      probe_dilations, run_fuzz, run_verify, verify)
 from simplat.documents import load_complex
-from simplat.ehrhart import _class_hstar, verify_simplex_congruence
+from simplat.ehrhart import SimplexCongruenceReport, _class_hstar, verify_simplex_congruence
 from simplat.errors import InputError, ResourceLimitError
 from simplat.numtheory import dilation_plan
+from simplat.report import to_json
+from simplat.verify import FuzzFailure
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
-                     l_shape_count, moved_complex)
+                     facewise_subchecks, l_shape_count, mixed_complexes,
+                     moved_complex)
 
 
 class TestRunVerify:
@@ -133,11 +141,10 @@ class TestRunVerify:
 
     def test_moved_grid_builds_one_simplex_per_class(self):
         # construction certifies the canonical translates of the 2 triangle
-        # shapes of the whole grid-5, which are also 2 of its 6 translation
-        # keys; the additive count then certifies the other 4 (a vertex, 3
-        # edges) and one canonical simplex per lattice class (a point, a
-        # primitive segment, a unimodular triangle), and the sub-checks
-        # reuse the triangles' certificates
+        # shapes of the whole grid-5; both are unimodular, so the additive
+        # count reads the f-vector and certifies nothing more (no lower
+        # face is keyed, no h* read), and the sub-checks, all enumerated at
+        # n = 60, reuse the triangles' certificates
         base = generate_complex(2, 5, 1, seed=0)
         for seed, shift in ((1, (10**6, -10**6)), (3, (10**6 + 3, 10**6))):
             geometry._certificate.cache_clear()
@@ -147,16 +154,16 @@ class TestRunVerify:
             assert geometry._certificate.cache_info().misses == 2
             r = run_verify(c, 60)
             assert (r.count, r.method, len(r.subchecks)) == (601 ** 2, "additive", 150)
-            assert geometry._certificate.cache_info().misses == 2 + 4 + 3
+            assert geometry._certificate.cache_info().misses == 2
             assert verify._class_subcheck.cache_info().misses == 2 * 3
             # a copy under the same map with another shift has the same
             # keys and lattice classes: nothing of it is certified again,
             # and its sub-checks are all read from the cache
             copy = moved_complex(base, random.Random(seed), (-shift[1], shift[0] + 7))
-            assert geometry._certificate.cache_info().misses == 2 + 4 + 3
+            assert geometry._certificate.cache_info().misses == 2
             r = run_verify(copy, 60)
             assert (r.count, r.method, len(r.subchecks)) == (601 ** 2, "additive", 150)
-            assert geometry._certificate.cache_info().misses == 2 + 4 + 3
+            assert geometry._certificate.cache_info().misses == 2
             assert verify._class_subcheck.cache_info().misses == 2 * 3
 
     @pytest.mark.parametrize("dim, grid, n", [(2, 4, 60), (3, 1, 30), (2, 2, 6)])
@@ -372,3 +379,93 @@ class TestProbeEnvelope:
         square = load_complex(UNIT_SQUARE_DOC)
         assert [r.count for r in probe_dilations(square, 2, 4).rows] == [4, 9, 16, 25]
         self.refused_quickly(square, 5, "5 rows x 11 faces = 55 face counts")
+
+
+class TestSharedSubcheckReports:
+    """run_verify's report holds each face's vertices and its class's
+    reports, and expands them on read; the oracle builds a new report per
+    face and term, as run_verify did before."""
+
+    CASES = [(dim, grid, seed, shift, n)
+             for dim, grid, seed, shift in ((2, 5, 1, (10**6, -10**6)),
+                                            (3, 2, 3, (-10**6, 10**6, 7)),
+                                            (1, 4, 2, (5,)))
+             for n in (6, 60)]
+
+    @pytest.mark.parametrize("dim, grid, seed, shift, n", CASES)
+    def test_subchecks_equal_the_facewise_reports(self, dim, grid, seed, shift, n):
+        c = moved_complex(generate_complex(dim, grid, 1, seed=0), random.Random(seed), shift)
+        self.check(c, n)
+
+    @given(mixed_complexes(), st.sampled_from((2, 6, 12, 60)))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_complexes(self, c, n):
+        self.check(c, n)
+
+    def check(self, c, n):
+        r = run_verify(c, n)
+        want = facewise_subchecks(c, n)
+        got = r.subchecks
+        assert type(got) is tuple and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == b and a.vertices == b.vertices
+        assert got == want and got is not r.subchecks  # expanded per read
+        assert r.subcheck_tally() == (sum(not w.passed for w in want), len(want))
+        assert r.all_passed == (r.passed and all(w.passed for w in want))
+        # the same report with the sub-checks given as a tuple, as before
+        built = VerificationReport(**{**{f.name: getattr(r, f.name) for f in fields(r)},
+                                      "subchecks": want})
+        assert built == r and built.subchecks == want
+        assert r.as_dict() == built.as_dict()
+        assert r.as_dict()["subchecks"] == [w.as_dict() for w in want]
+        document = complex_to_document(c).as_dict()
+        assert (to_json(FuzzFailure(trial=0, sub_seed=1, keep="1", document=document, report=r))
+                == to_json(FuzzFailure(trial=0, sub_seed=1, keep="1", document=document,
+                                       report=built)))
+
+    def test_report_keeps_one_report_per_class_and_term(self):
+        # the moved whole grid-5: 50 triangles of 2 classes, 3 plan terms
+        c = moved_complex(generate_complex(2, 5, 1, seed=0), random.Random(1), (3, 4))
+        r = run_verify(c, 60)
+        held = vars(r)["_subchecks"]
+        assert len(held.faces) == len(held.reports) == 50
+        assert len({id(x) for rs in held.reports for x in rs}) == 2 * 3
+        assert all(type(x) is SimplexCongruenceReport for rs in held.reports for x in rs)
+        assert r.subcheck_tally() == (0, 150)
+
+    @pytest.fixture
+    def failing_prime_three(self, monkeypatch):
+        """Make every class report for p = 3 fail."""
+        real = verify._class_subcheck
+
+        def subcheck(key, p, k):
+            report = real(key, p, k)
+            return dataclasses.replace(report, passed=False) if p == 3 else report
+
+        monkeypatch.setattr(verify, "_class_subcheck", subcheck)
+
+    def test_failed_class_report(self, failing_prime_three, tmp_path):
+        c = load_complex(L_SHAPE_DOC)
+        r = run_verify(c, 6)
+        want = facewise_subchecks(c, 6)
+        assert r.passed and not r.all_passed
+        assert r.subcheck_tally() == (6, 12) == (sum(not w.passed for w in want), len(want))
+        assert r.subchecks == want
+        path = tmp_path / "lshape.json"
+        path.write_text(json.dumps(L_SHAPE_DOC))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+            code = cli.main(["verify", str(path), "--modulus", "6"])
+        assert code == cli.EXIT_VERDICT_FAIL
+        assert "6 of 12 per-simplex sub-checks failed" in err.getvalue()
+        assert json.loads(out.getvalue())["subchecks"] == [w.as_dict() for w in want]
+
+    def test_failed_fuzz_trial(self, failing_prime_three):
+        summary = run_fuzz(2, 1, 6, trials=2, seed=3)
+        assert (summary.passes, summary.failures) == (0, 2)
+        for failure in summary.failed:
+            c = close_under_faces(failure.document["maximal_simplices"],
+                                  failure.document["vertices"], ambient_dim=2)
+            assert failure.report.subchecks == facewise_subchecks(c, 6)
+            assert failure.report.as_dict()["subchecks"] == [
+                w.as_dict() for w in facewise_subchecks(c, 6)]
