@@ -5,15 +5,25 @@ built on the standard permutation triangulation of a cube grid."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InputError, ValidationError, check_int, is_int, shown
 from .geometry import (LatticePoint, Simplex, as_lattice_point, bounding_box,
                        intersection_is_common_face, translation_key)
 from .report import Report
+
+
+class FaceClass(NamedTuple):
+    """One translation class of a complex's maximal faces: its canonical
+    translate, the Simplex on its translation key, and its faces, sorted."""
+
+    simplex: Simplex
+    faces: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -28,14 +38,16 @@ class SimplicialComplex:
     degenerate one).  faces becomes the closure of the given sets under
     nonempty subsets, and maximal_faces the given sets that no other given
     set contains, as sorted index tuples in sorted order; one pass over the
-    given sets finds both.  validate() checks the conditions between faces.
+    given sets finds both, and the f-vector is counted off the closure
+    once.  validate() checks the conditions between faces.
 
-    Maximal faces are grouped by translation class (translation_class),
-    and each class is built once, as its canonical translate, the Simplex
-    on its key: a translate has a bounding box of the same size and the
-    same lattice-point counts at every dilation, so the library reads those
-    off it.  No face's own Simplex is kept; simplex() and validate() build
-    one on request, certified as its class (see Simplex).
+    classes groups the maximal faces by translation class
+    (translation_class), ordered by their first faces.  Each class is built
+    once, as its canonical translate, the Simplex on its key: a translate
+    has a bounding box of the same size and the same lattice-point counts
+    at every dilation, so the library reads those off it.  No face's own
+    Simplex is kept; simplex() and validate() build one on request,
+    certified as its class (see Simplex).
     """
 
     ambient_dim: int
@@ -44,11 +56,11 @@ class SimplicialComplex:
     # the faces not strictly contained in another face, sorted
     maximal_faces: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False)
-    # each maximal face's class's canonical translate, one Simplex per
-    # class (one per face would keep a few tuples per face alive with the
-    # complex, which the garbage collector then scans)
-    _canonical: dict[tuple[int, ...], Simplex] = field(
-        init=False, repr=False, compare=False)
+    # one entry per class, holding the faces of maximal_faces (a Simplex
+    # per face would keep a few tuples per face alive with the complex,
+    # which the garbage collector then scans)
+    classes: tuple[FaceClass, ...] = field(init=False, repr=False, compare=False)
+    _f_vector: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_int(self.ambient_dim, "ambient_dim", 1)
@@ -72,23 +84,29 @@ class SimplicialComplex:
         # given set or below one, so the maximal faces are the given sets
         # that are below no other
         maximal = tuple(sorted([tuple(sorted(f)) for f in given - below]))
-        object.__setattr__(self, "faces", frozenset(below | given))
+        faces = below | given
+        # closed under subsets, so every size up to the largest occurs
+        sizes = Counter(map(len, faces))
+        object.__setattr__(self, "faces", frozenset(faces))
         object.__setattr__(self, "maximal_faces", maximal)
-        canonical, by_key = {}, {}
+        object.__setattr__(self, "_f_vector",
+                           tuple([sizes[k] for k in range(1, len(sizes) + 1)]))
+        by_key: dict[tuple[LatticePoint, ...], tuple[Simplex, list]] = {}
         for face in maximal:  # sorted, so the least degenerate face fails first
             key = translation_key([verts[i] for i in face])
-            s = by_key.get(key)
-            if s is None:
+            entry = by_key.get(key)
+            if entry is None:
                 try:
-                    s = by_key[key] = Simplex(key)
+                    entry = by_key[key] = (Simplex(key), [])
                 except ValidationError:
                     try:  # the face's own Simplex fails too, naming its vertices
                         Simplex(tuple([verts[i] for i in face]))
                     except ValidationError as exc:
                         raise ValidationError(f"face {list(face)} is degenerate: {exc}") from exc
                     raise
-            canonical[face] = s
-        object.__setattr__(self, "_canonical", canonical)
+            entry[1].append(face)
+        object.__setattr__(self, "classes", tuple(
+            [FaceClass(s, tuple(faces)) for s, faces in by_key.values()]))
 
     def simplex(self, face) -> Simplex:
         """The geometric simplex of a face of the complex, vertices in
@@ -110,17 +128,11 @@ class SimplicialComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         """Counts of i-dimensional faces, i = 0 .. dim of the complex."""
-        if not self.faces:
-            return ()
-        top = max(len(f) for f in self.faces)
-        counts = [0] * top
-        for face in self.faces:
-            counts[len(face) - 1] += 1
-        return tuple(counts)
+        return self._f_vector
 
     @property
     def dim(self) -> int:
-        return max((len(f) for f in self.faces), default=0) - 1
+        return len(self._f_vector) - 1
 
 
 @dataclass(frozen=True)
@@ -148,7 +160,8 @@ def close_under_faces(maximal, vertices, ambient_dim: int | None = None) -> Simp
 
 def euler_characteristic(c: SimplicialComplex) -> int:
     """Non-reduced Euler characteristic: alternating sum of face counts."""
-    return sum((-1) ** (len(face) - 1) for face in c.faces)
+    f = c.f_vector()
+    return sum(f[::2]) - sum(f[1::2])
 
 
 def summarize(c: SimplicialComplex) -> ComplexSummary:

@@ -7,11 +7,8 @@ Beck & Robins, Computing the Continuous Discretely, ch. 1-2).  The cost is
 about box / extent of the free axis x rows, but the budget is still
 measured in box points: a box of over DEFAULT_ENUMERATION_LIMIT points
 raises ResourceLimitError.  Every per-class figure of a complex's maximal
-faces is read off the class's canonical translate (see SimplicialComplex),
-the simplex on its translation key (its sorted vertex points minus the
-least one), so no face's own Simplex is built: the union count cuts lines
-once per class, on the canonical translate, and a face whose least vertex
-point is v gets them moved by t*v.
+faces is read off the class's canonical translate, from
+SimplicialComplex.classes, so no face's own Simplex is built.
 The additive counter sums relative-interior counts over all faces, which is
 the designated fast path for large dilations: each interior count is the
 int sum h_k C(t+k-1, m) over the face's integer h*-vector h, by
@@ -34,7 +31,8 @@ from operator import add, mul
 
 from .complexes import SimplicialComplex
 from .errors import ResourceLimitError, check_int
-from .geometry import Simplex, _certificate, bounding_box, membership_certificate, translation_key
+from .geometry import (Simplex, _certificate, bounding_box, lattice_class,
+                       membership_certificate, translation_key)
 from .report import Report
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
@@ -139,12 +137,10 @@ def count_relative_interior(s: Simplex, t: int) -> int:
 
 def enumeration_estimate(c: SimplicialComplex, t: int) -> int:
     """Total box points count_complex would scan at dilation t: the sum of
-    every maximal face's box points, each read off the canonical translate
-    of its class (see SimplicialComplex), since a lattice translate has a
-    box of the same size: each class's box once, times its faces."""
-    classes = {id(s): s for s in c._canonical.values()}
-    faces = Counter(map(id, c._canonical.values()))
-    return sum([n * box_points(classes[i], t) for i, n in faces.items()])
+    every maximal face's box points, read per class off its canonical
+    translate (see SimplicialComplex.classes), whose box has the size of
+    every face's of the class."""
+    return sum([len(faces) * box_points(s, t) for s, faces in c.classes])
 
 
 def count_complex(c: SimplicialComplex, t: int) -> int:
@@ -154,29 +150,25 @@ def count_complex(c: SimplicialComplex, t: int) -> int:
     Every face is cut into integer intervals on the lines of one free axis,
     the one with the fewest lines over all face boxes; the intervals on
     each line are merged and their lengths summed.  The lines are cut once
-    per translation class, on its canonical translate (see
-    SimplicialComplex), whose least vertex is the origin: a face whose
-    least vertex point is v is that translate moved by v, and gets its
-    lines moved by t*v.
+    per class of SimplicialComplex.classes, on its canonical translate,
+    whose least vertex is the origin: a face whose least vertex point is v
+    gets them moved by t*v.
     """
     check_int(t, "dilation factor", 1)
     if not c.faces:
         return 0
     _check_budget(enumeration_estimate(c, t))
-    classes = c._canonical
-    axis = _free_axis([bounding_box(s) for s in classes.values()], t)
+    axis = _free_axis([bounding_box(s) for s, faces in c.classes for _ in faces], t)
     verts = c.vertices
-    cut: dict[tuple, list] = {}  # translation key -> its class's lines
     lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for face, s in classes.items():
-        class_lines = cut.get(s.vertices)
-        if class_lines is None:
-            class_lines = cut[s.vertices] = list(_lines(s, t, axis, strict=False))
-        shift = [t * a for a in min([verts[i] for i in face])]
-        step = shift.pop(axis)
-        for fixed, first, last in class_lines:
-            lines.setdefault(tuple(map(add, fixed, shift)), []).append(
-                (first + step, last + step))
+    for s, faces in c.classes:
+        class_lines = list(_lines(s, t, axis, strict=False))
+        for face in faces:
+            shift = [t * a for a in min([verts[i] for i in face])]
+            step = shift.pop(axis)
+            for fixed, first, last in class_lines:
+                lines.setdefault(tuple(map(add, fixed, shift)), []).append(
+                    (first + step, last + step))
     total = 0
     for spans in lines.values():
         spans.sort()
@@ -196,37 +188,25 @@ def _additive_census(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     simplex is unimodular in its own affine lattice (part of a lattice
     basis spans a saturated sublattice), so its h* is (1, 0, ...), and
     only the faces that lie in no unimodular maximal face add to
-    A_m[k >= 1].  A maximal face's class is unimodular when the diagonal of
-    its lattice class, read off the certificate construction cached for the
-    canonical translate (see SimplicialComplex), has product 1.  The other
-    faces are counted per translation key, whose h* serves every translate;
-    on a unimodular complex no face is keyed and no h* is read.
+    A_m[k >= 1].  Each class of SimplicialComplex.classes is unimodular
+    when the diagonal of its lattice class has product 1.  The other faces
+    are counted per translation key, whose h* serves every translate; on a
+    unimodular complex no face is keyed and no h* is read.
     """
     rows = [[n] + [0] * m for m, n in enumerate(c.f_vector())]
-    unimodular: dict[int, bool] = {}  # id of a canonical translate -> unimodular
-    rest = []
-    for face, s in c._canonical.items():
-        u = unimodular.get(id(s))
-        if u is None:
-            lattice = _certificate(s.vertices)[3]
-            u = unimodular[id(s)] = prod([h[j] for j, h in enumerate(lattice)]) == 1
-        if not u:
-            rest.append(face)
-    if rest:
+    unimodular = [prod([h[j] for j, h in enumerate(lattice_class(s))]) == 1
+                  for s, _ in c.classes]
+    if not all(unimodular):
         from .ehrhart import _class_hstar
-        covered = set()  # faces of unimodular maximal faces, then faces keyed
-        for face, s in c._canonical.items():
-            if unimodular[id(s)]:
-                for r in range(1, len(face)):
-                    covered.update(combinations(face, r))
+        covered = set()  # the faces of unimodular maximal faces
+        for (_, faces), u in zip(c.classes, unimodular):
+            if u:
+                for face in faces:
+                    for r in range(1, len(face) + 1):
+                        covered.update(map(frozenset, combinations(face, r)))
         verts = c.vertices
-        keys = Counter()
-        for face in rest:
-            for r in range(1, len(face) + 1):
-                for sub in combinations(face, r):
-                    if sub not in covered:
-                        covered.add(sub)
-                        keys[translation_key([verts[i] for i in sub])] += 1
+        keys = Counter([translation_key([verts[i] for i in face])
+                        for face in c.faces - covered])
         for key, n in keys.items():
             h = _class_hstar(_certificate(key)[3]).entries
             row = rows[len(h) - 1]

@@ -23,7 +23,8 @@ class ResourceLimitError(SimplatError):
     an enumeration would scan more box points than
     counting.DEFAULT_ENUMERATION_LIMIT, a lattice class whose h*-vector is
     asked for has a larger normalized volume, or a probe would count more
-    rows times faces than that, or more rows than verify.PROBE_ROW_LIMIT."""
+    rows than verify.PROBE_ROW_LIMIT or, on the enumeration path, more rows
+    times faces than DEFAULT_ENUMERATION_LIMIT."""
 
 
 class IntegrityError(SimplatError):

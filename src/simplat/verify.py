@@ -115,12 +115,11 @@ def _counter(c: SimplicialComplex, t: int):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _class_subcheck(key: tuple[LatticePoint, ...], p: int,
-                    k: int) -> SimplexCongruenceReport:
-    """verify_simplex_congruence(s, p, k) on the canonical translate s of
-    the translation class key, the Simplex on that vertex tuple, kept for
-    every complex with a face of the class.  An error is not kept."""
-    return verify_simplex_congruence(Simplex(key), p, k)
+def _class_subcheck(s: Simplex, p: int, k: int) -> SimplexCongruenceReport:
+    """verify_simplex_congruence(s, p, k) on the canonical translate s of a
+    class of SimplicialComplex.classes, kept for every complex with a face
+    of the class.  An error is not kept."""
+    return verify_simplex_congruence(s, p, k)
 
 
 def run_verify(c: SimplicialComplex, n: int, *,
@@ -130,13 +129,13 @@ def run_verify(c: SimplicialComplex, n: int, *,
     prime-power congruence sub-check on every maximal simplex.  The count
     is enumerated or additive as _counter chooses.
 
-    Sub-checks run on the canonical translate of each translation class of
-    maximal faces (see SimplicialComplex), and their reports are kept in an
-    LRU cache of CACHE_SIZE entries keyed by the translation key, p and k,
-    which every complex shares: a lattice translate of s shifts p^k*s by a
-    lattice vector, which changes neither its count nor the box that picks
-    the method.  The report holds each face's vertices and its class's
-    reports, which stand for the face's own reports with its vertices (see
+    Sub-checks run once per class of SimplicialComplex.classes, on its
+    canonical translate, and their reports are kept in an LRU cache of
+    CACHE_SIZE entries keyed by that Simplex, p and k, which every complex
+    shares: a lattice translate of s shifts p^k*s by a lattice vector,
+    which changes neither its count nor the box that picks the method.
+    The report holds each face's vertices and its class's reports, which
+    stand for the face's own reports with its vertices (see
     VerificationReport); no face's own Simplex or report is built.
     Grouping by lattice class instead would need every face's certificate
     just to read the key.
@@ -147,16 +146,12 @@ def run_verify(c: SimplicialComplex, n: int, *,
     counter, method = _counter(c, t)
     count = counter(c, t)
     terms = [(term.prime, term.dilation_exponent) for term in plan.terms]
+    reports_of = {}  # maximal face -> its class's reports
+    for s, faces in c.classes:
+        reports_of.update(dict.fromkeys(
+            faces, tuple([_class_subcheck(s, p, k) for p, k in terms])))
     verts = c.vertices
-    by_class: dict[int, tuple] = {}  # id of a canonical translate -> its reports
-    faces, reports = [], []
-    for face, s in c._canonical.items():
-        faces.append(tuple([verts[i] for i in face]))
-        rs = by_class.get(id(s))
-        if rs is None:
-            rs = by_class[id(s)] = tuple([_class_subcheck(s.vertices, p, k)
-                                          for p, k in terms])
-        reports.append(rs)
+    faces = c.maximal_faces
     count_residue = count % n
     euler_residue = euler % n
     return VerificationReport(
@@ -164,7 +159,8 @@ def run_verify(c: SimplicialComplex, n: int, *,
         count=count, method=method, count_residue=count_residue,
         euler_residue=euler_residue,
         verdict="pass" if count_residue == euler_residue else "fail",
-        subchecks=_FaceReports(tuple(faces), tuple(reports)))
+        subchecks=_FaceReports(tuple([tuple([verts[i] for i in face]) for face in faces]),
+                               tuple([reports_of[face] for face in faces])))
 
 
 @dataclass(frozen=True)
@@ -254,28 +250,29 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
     not always minimal.  All rows use the method _counter picks at t_max,
     since on an improper complex the two methods differ; on the additive
     one, the complex's census (counting._additive_census) is taken once
-    and evaluated at every row.
+    and each row evaluates it in O(d^2) binomials.
 
     Before counting, ResourceLimitError refuses a table of more than
-    PROBE_ROW_LIMIT rows, or one whose t_max x len(c.faces) is over
-    DEFAULT_ENUMERATION_LIMIT: each row costs about a pass over the faces.
+    PROBE_ROW_LIMIT rows, or, on the enumeration path, one whose
+    t_max x len(c.faces) is over DEFAULT_ENUMERATION_LIMIT: each
+    enumerated row costs about a pass over the faces.
     """
     check_int(t_max, "t_max", 1)
     plan = dilation_plan(c.ambient_dim, n)
     if t_max > PROBE_ROW_LIMIT:
         raise ResourceLimitError(
             f"probe would count {t_max} rows, over the cap of {PROBE_ROW_LIMIT}")
-    work = t_max * len(c.faces)
-    if work > DEFAULT_ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"probe would count {t_max} rows x {len(c.faces)} faces = {work} "
-            f"face counts, over the budget of {DEFAULT_ENUMERATION_LIMIT}")
     euler = euler_characteristic(c)
     euler_residue = euler % n
     counter, method = _counter(c, t_max)
     if method == "additive":  # the census does not change with t
         count_at = partial(_census_count, _additive_census(c))
     else:
+        work = t_max * len(c.faces)
+        if work > DEFAULT_ENUMERATION_LIMIT:
+            raise ResourceLimitError(
+                f"probe would count {t_max} rows x {len(c.faces)} faces = {work} "
+                f"face counts, over the budget of {DEFAULT_ENUMERATION_LIMIT}")
         count_at = partial(counter, c)
     rows = []
     for t in range(1, t_max + 1):

@@ -249,8 +249,9 @@ def facewise_union_count(c, t: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# closure oracle: maximal faces as the library found them before it read
-# them off the closure pass, by dropping one vertex from every face
+# closure oracles: maximal faces as the library found them before it read
+# them off the closure pass, by dropping one vertex from every face, and
+# the f-vector as it counted it before the complex kept it
 
 def closure_maximal_faces(c) -> tuple[tuple[int, ...], ...]:
     """Faces of c not strictly contained in another face, sorted."""
@@ -260,6 +261,17 @@ def closure_maximal_faces(c) -> tuple[tuple[int, ...], ...]:
             for drop in face:
                 non_maximal.add(face - {drop})
     return tuple(sorted(tuple(sorted(f)) for f in c.faces if f not in non_maximal))
+
+
+def facewise_f_vector(c) -> tuple[int, ...]:
+    """Counts of i-dimensional faces of c, i = 0 .. dim, by a walk over
+    every face, as f_vector() counted them before the complex kept them."""
+    if not c.faces:
+        return ()
+    counts = [0] * max(len(f) for f in c.faces)
+    for face in c.faces:
+        counts[len(face) - 1] += 1
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +369,12 @@ def facewise_subchecks(c, n: int) -> tuple[SimplexCongruenceReport, ...]:
     face's own vertices."""
     terms = [(term.prime, term.dilation_exponent)
              for term in dilation_plan(c.ambient_dim, n).terms]
+    class_of = {face: s for s, faces in c.classes for face in faces}
     subchecks = []
-    for face, s in c._canonical.items():
+    for face in c.maximal_faces:
         vertices = tuple([c.vertices[i] for i in face])
         for p, k in terms:
-            r = verify._class_subcheck(s.vertices, p, k)
+            r = verify._class_subcheck(class_of[face], p, k)
             subchecks.append(SimplexCongruenceReport(
                 vertices=vertices, intrinsic_dim=r.intrinsic_dim, prime=p,
                 exponent=k, log_floor=r.log_floor, modulus=r.modulus,

@@ -20,7 +20,8 @@ from simplat.verify import FUZZ_KEEP_CYCLE
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
                      chain_generated_complex, closure_maximal_faces,
-                     moved_complex, moved_generated_complexes)
+                     facewise_f_vector, mixed_complexes, moved_complex,
+                     moved_generated_complexes)
 
 
 def from_doc(doc):
@@ -87,6 +88,23 @@ class TestClosure:
         assert c.maximal_faces == closure_maximal_faces(c)
         assert c.faces == {frozenset(sub) for f in faces
                            for r in range(1, len(f) + 1) for sub in combinations(f, r)}
+
+    @given(st.one_of(mixed_complexes(), moved_generated_complexes(),
+                     st.just(close_under_faces([], [], ambient_dim=2))))
+    @settings(max_examples=60, deadline=None)
+    def test_kept_structure_matches_the_face_walk(self, c):
+        f = facewise_f_vector(c)
+        assert c.f_vector() == f and c.dim == len(f) - 1
+        assert euler_characteristic(c) == sum((-1) ** (len(face) - 1) for face in c.faces)
+        # classes partition the maximal faces, each ascending, ordered by
+        # their first faces, and each simplex is every face's translation key
+        listed = [face for _, faces in c.classes for face in faces]
+        assert sorted(listed) == list(c.maximal_faces)
+        assert all(list(faces) == sorted(faces) for _, faces in c.classes)
+        firsts = [faces[0] for _, faces in c.classes]
+        assert firsts == sorted(firsts)
+        assert all(s.vertices == c.translation_class(face)
+                   for s, faces in c.classes for face in faces)
 
     def test_empty(self):
         c = close_under_faces([], [], ambient_dim=2)
@@ -201,6 +219,14 @@ class TestLeaders:
                 "((0, 0), (1, 1), (2, 2))")):
             close_under_faces(listing, self.VERTICES)
 
+    @pytest.mark.parametrize("listing", [[[3, 4, 5], [0, 1, 2]], [[0, 1, 2], [3, 4, 5]]])
+    def test_least_degenerate_face_across_two_classes(self, listing):
+        # two collinear triples of different shapes: the first in sorted
+        # face order is named, whichever is listed first
+        vertices = [(0, 0), (1, 1), (2, 2), (5, 5), (7, 5), (9, 5)]
+        with pytest.raises(ValidationError, match=re.escape("face [0, 1, 2] is degenerate")):
+            close_under_faces(listing, vertices)
+
     def test_moved_grid_certifies_one_face_per_class(self):
         # the 50 triangles of the whole grid-5 are translates of 2 shapes,
         # each certified once on its canonical translate; a copy under the
@@ -216,11 +242,11 @@ class TestLeaders:
             assert geometry._certificate.cache_info().misses == 2
             for x in (c, copy):
                 assert len(x.maximal_faces) == 50
-                assert len(set(x._canonical.values())) == 2
-                assert all(x._canonical[f].vertices == x.translation_class(f)
-                           for f in x.maximal_faces)
+                assert len(x.classes) == 2
+                assert all(s.vertices == x.translation_class(f)
+                           for s, faces in x.classes for f in faces)
                 assert validate(x).passed
-            assert set(c._canonical.values()) == set(copy._canonical.values())
+            assert {s for s, _ in c.classes} == {s for s, _ in copy.classes}
             for face in c.maximal_faces:  # each face's own, on request
                 assert c.simplex(face).vertices == tuple(c.vertices[i] for i in face)
             assert geometry._certificate.cache_info().misses == 2

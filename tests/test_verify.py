@@ -259,7 +259,7 @@ class TestErrorPaths:
         verify._class_subcheck.cache_clear()
         for _ in range(2):
             with pytest.raises(ResourceLimitError, match="normalized volume 16000000"):
-                verify._class_subcheck(s.vertices, 2, 2)
+                verify._class_subcheck(s, 2, 2)
         assert verify._class_subcheck.cache_info().currsize == 0
 
 
@@ -346,8 +346,8 @@ class TestProbe:
 
 class TestProbeEnvelope:
     """probe_dilations refuses, before counting, a table of more than
-    PROBE_ROW_LIMIT rows or of more than DEFAULT_ENUMERATION_LIMIT rows
-    times faces."""
+    PROBE_ROW_LIMIT rows or, on the enumeration path, of more than
+    DEFAULT_ENUMERATION_LIMIT rows times faces."""
 
     def refused_quickly(self, c, t_max, match):
         start = time.perf_counter()
@@ -362,10 +362,34 @@ class TestProbeEnvelope:
         self.refused_quickly(square, 10**11, "over the cap of 100000")
 
     def test_just_past_the_face_budget(self):
-        # 34130 rows x 293 faces = 10,000,090 face counts
+        # 34130 rows x 293 faces = 10,000,090 face counts, but the table
+        # takes the additive path, whose rows read the census once and do
+        # not pass over the faces, so it is served
         c = generate_complex(3, 2, 1, 0)
         assert len(c.faces) == 293 and 34129 * 293 <= 10**7 < 34130 * 293
-        self.refused_quickly(c, 34130, "= 10000090 face counts, over the budget of 10000000")
+        rows = probe_dilations(c, 6, 34130).rows
+        assert len(rows) == 34130
+        for t in (1, 2, 7, 360, 34129, 34130):
+            assert rows[t - 1].dilation == t and rows[t - 1].count == (2 * t + 1) ** 3
+
+    def test_enumeration_just_past_the_face_budget(self, tmp_path):
+        # 10,001 isolated vertices: the estimate at t = 1000 is 10,001 box
+        # points, so the table is enumerated, and 1000 rows x 10,001 faces
+        # = 10,001,000 face counts is over the budget
+        doc = {"ambient_dim": 1, "vertices": [[i] for i in range(10_001)],
+               "maximal_simplices": [[i] for i in range(10_001)]}
+        c = load_complex(doc)
+        assert counting.enumeration_estimate(c, 1000) == 10_001
+        assert verify._counter(c, 1000)[1] == "enumeration"
+        self.refused_quickly(c, 1000, re.escape(
+            "1000 rows x 10001 faces = 10001000 face counts, over the budget of 10000000"))
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+            code = cli.main(["probe", str(path), "--modulus", "6", "--tmax", "1000"])
+        assert code == cli.EXIT_RESOURCE == 3
+        assert out.getvalue() == "" and "10001000 face counts" in err.getvalue()
 
     def test_at_the_row_cap(self, monkeypatch):
         monkeypatch.setattr(verify, "PROBE_ROW_LIMIT", 4)
