@@ -32,22 +32,24 @@ class SimplicialComplex:
     and the faces, nonempty frozensets of vertex indices.
 
     Construction checks each face on its own: every vertex is a point of
-    Z^ambient_dim, every given face a nonempty set of indices into the
-    vertex list (InputError naming the face otherwise), and every maximal
-    face is affinely independent (ValidationError naming the least
-    degenerate one).  faces becomes the closure of the given sets under
-    nonempty subsets, and maximal_faces the given sets that no other given
-    set contains, as sorted index tuples in sorted order; one pass over the
-    given sets finds both, and the f-vector is counted off the closure
-    once.  validate() checks the conditions between faces.
+    Z^ambient_dim, every given face a nonempty list of indices into the
+    vertex list that names no index twice (InputError naming the face
+    otherwise), and every maximal face is affinely independent
+    (ValidationError naming the least degenerate one).  Each given face is
+    read once, so an iterator serves too.  faces becomes the closure of the
+    given sets under nonempty subsets, and maximal_faces the given sets
+    that no other given set contains, as sorted index tuples in sorted
+    order; one pass over the given sets finds both, and the f-vector is
+    counted off the closure once.  validate() checks the conditions between
+    faces.
 
     classes groups the maximal faces by translation class
-    (translation_class), ordered by their first faces.  Each class is built
-    once, as its canonical translate, the Simplex on its key: a translate
-    has a bounding box of the same size and the same lattice-point counts
-    at every dilation, so the library reads those off it.  No face's own
-    Simplex is kept; simplex() and validate() build one on request,
-    certified as its class (see Simplex).
+    (geometry.translation_key), ordered by their first faces.  Each class
+    is built once, as its canonical translate, the Simplex on its key: a
+    translate has a bounding box of the same size and the same
+    lattice-point counts at every dilation, so the library reads those off
+    it.  No face's own Simplex is kept; simplex() and validate() build one
+    on request, certified as its class (see Simplex).
     """
 
     ambient_dim: int
@@ -68,14 +70,17 @@ class SimplicialComplex:
         object.__setattr__(self, "vertices", verts)
         given: set[frozenset[int]] = set()
         below: set[frozenset[int]] = set()  # strict subsets of given sets
-        for face in self.faces:
-            if not face:
+        for indices in self.faces:
+            indices = tuple(indices)  # read once, so an iterator is a face too
+            if not indices:
                 raise InputError("empty face in the face list")
-            for i in face:
+            for i in indices:
                 if not is_int(i) or not 0 <= i < len(verts):
                     raise InputError(
-                        f"vertex index {shown(i)} out of range in face {shown(list(face))}")
-            face = frozenset(face)
+                        f"vertex index {shown(i)} out of range in face {shown(list(indices))}")
+            face = frozenset(indices)
+            if len(face) < len(indices):  # the set drops the repeat
+                raise InputError(f"repeated vertex index in face {list(indices)}")
             if face not in given:
                 given.add(face)
                 for r in range(1, len(face)):
@@ -110,21 +115,13 @@ class SimplicialComplex:
 
     def simplex(self, face) -> Simplex:
         """The geometric simplex of a face of the complex, vertices in
-        index order, built on each request (InputError for a set that is
-        not a face, or whose indices are not all ints, as 1.0 and True)."""
-        return Simplex(tuple([self.vertices[i] for i in sorted(self._face(face))]))
-
-    def translation_class(self, face) -> tuple[LatticePoint, ...]:
-        """The face's geometry.translation_key, which a lattice translate
-        keeps, as it keeps the face's lattice-point counts; it costs a few
-        subtractions, where geometry.lattice_class needs a certificate."""
-        return translation_key([self.vertices[i] for i in self._face(face)])
-
-    def _face(self, face):
-        """face, if it is a face of the complex with int indices; else InputError."""
-        if frozenset(face) not in self.faces or not all(map(is_int, face)):
-            raise InputError(f"{shown(list(face))} is not a face of the complex")
-        return face
+        index order, built on each request.  face is read once; InputError
+        unless its indices are ints, none repeated, whose set is a face."""
+        indices = tuple(face)
+        if (not all(map(is_int, indices)) or len(set(indices)) < len(indices)
+                or frozenset(indices) not in self.faces):
+            raise InputError(f"{shown(list(indices))} is not a face of the complex")
+        return Simplex(tuple([self.vertices[i] for i in sorted(indices)]))
 
     def f_vector(self) -> tuple[int, ...]:
         """Counts of i-dimensional faces, i = 0 .. dim of the complex."""
@@ -143,19 +140,14 @@ class ComplexSummary(Report):
 
 def close_under_faces(maximal, vertices, ambient_dim: int | None = None) -> SimplicialComplex:
     """The complex generated by the given index lists, which SimplicialComplex
-    closes under subsets and checks.  ambient_dim defaults to the length of
-    the first vertex.  A list that repeats an index is refused here, since
-    the complex sees each face only as a set."""
+    checks and closes under subsets.  ambient_dim defaults to the length of
+    the first vertex."""
     verts = tuple(vertices)
     if ambient_dim is None:
         if not verts:
             raise InputError("ambient_dim is required when the vertex list is empty")
         ambient_dim = len(as_lattice_point(verts[0]))
-    faces = [tuple(face) for face in maximal]
-    for face in faces:
-        if len(set(face)) != len(face):
-            raise InputError(f"repeated vertex index in face {list(face)}")
-    return SimplicialComplex(ambient_dim, verts, faces)
+    return SimplicialComplex(ambient_dim, verts, maximal)
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:

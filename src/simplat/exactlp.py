@@ -55,10 +55,11 @@ def _optimize(tableau: list[list[Fraction]], basis: list[int],
         _pivot(tableau, basis, leave, enter)
 
 
-def maximize(objective: list[Fraction], eq_rows: list[list[Fraction]],
-             eq_rhs: list[Fraction]) -> tuple[Fraction, list[Fraction]] | None:
+def maximize(objective: list[int | Fraction], eq_rows: list[list[int | Fraction]],
+             eq_rhs: list[int | Fraction]) -> tuple[Fraction, list[Fraction]] | None:
     """Maximize objective . x subject to eq_rows @ x = eq_rhs and x >= 0.
 
+    Every entry is converted to Fraction here, so ints may be passed.
     Returns (optimal value, optimal x) or None when infeasible.
     """
     n = len(objective)

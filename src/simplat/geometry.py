@@ -298,18 +298,16 @@ def _common_face_lp(a: Simplex, b: Simplex, shared: set[LatticePoint]) -> bool:
     free = [j for j, v in enumerate(a.vertices) if v not in shared]
     if not free:
         return True
-    rows = [[Fraction(1)] * ka + [Fraction(0)] * kb,
-            [Fraction(0)] * ka + [Fraction(1)] * kb]
-    rhs = [Fraction(1), Fraction(1)]
+    rows = [[1] * ka + [0] * kb, [0] * ka + [1] * kb]
+    rhs = [1, 1]
     for c in range(d):
-        rows.append([Fraction(av[c]) for av in a.vertices]
-                    + [Fraction(-bv[c]) for bv in b.vertices])
-        rhs.append(Fraction(0))
+        rows.append([av[c] for av in a.vertices] + [-bv[c] for bv in b.vertices])
+        rhs.append(0)
     # One LP suffices: with lambda >= 0, max of the sum over non-shared
     # vertices is positive iff max of some single coordinate is.
-    objective = [Fraction(0)] * (ka + kb)
+    objective = [0] * (ka + kb)
     for j in free:
-        objective[j] = Fraction(1)
+        objective[j] = 1
     result = exactlp.maximize(objective, rows, rhs)
     if result is None:
         return True  # empty intersection, and then no shared vertices either

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simplat import (SimplicialComplex, close_under_faces, count_complex,
@@ -103,7 +103,7 @@ class TestClosure:
         assert all(list(faces) == sorted(faces) for _, faces in c.classes)
         firsts = [faces[0] for _, faces in c.classes]
         assert firsts == sorted(firsts)
-        assert all(s.vertices == c.translation_class(face)
+        assert all(s.vertices == geometry.translation_key([c.vertices[i] for i in face])
                    for s, faces in c.classes for face in faces)
 
     def test_empty(self):
@@ -166,8 +166,6 @@ class TestConstruction:
         # (0, 1.0, 2) and (0, True, 2) equal the maximal face's index tuple
         "simplex_table_hit": lambda v, bad: close_under_faces(
             [[0, 1, 2]], v).simplex((0, bad, 2)),
-        "translation_class": lambda v, bad: close_under_faces(
-            [[0, 1, 2]], v).translation_class((0, bad)),
     }
 
     @pytest.mark.parametrize("entry", INDEX_CHECKS)
@@ -182,6 +180,58 @@ class TestConstruction:
         # an int past sys.get_int_max_str_digits has no repr
         with pytest.raises(InputError, match="integer (of 5001 digits|too long to print)"):
             self.INDEX_CHECKS[entry](self.TRIANGLE, 10**5000)
+
+    def test_repeated_index_is_refused(self):
+        # as a set, [0, 0, 1] would be the edge {0, 1}, with f-vector (2, 1)
+        for build in (lambda: SimplicialComplex(2, self.TRIANGLE, [(0, 0, 1)]),
+                      lambda: close_under_faces([[0, 0, 1]], self.TRIANGLE)):
+            with pytest.raises(InputError) as info:
+                build()
+            assert str(info.value) == "repeated vertex index in face [0, 0, 1]"
+        c = close_under_faces([[0, 1, 2]], self.TRIANGLE)
+        for face in ((0, 0, 1), [1, 0, 1, 2], (2, 2)):
+            with pytest.raises(InputError, match=re.escape(f"{list(face)} is not a face")):
+                c.simplex(face)
+
+    def test_face_is_read_once(self):
+        c = SimplicialComplex(2, self.TRIANGLE, [iter((0, 1)), (x for x in (2,))])
+        assert c == close_under_faces([[0, 1], [2]], self.TRIANGLE)
+        assert c.simplex(iter((1, 0))).vertices == ((0, 0), (1, 0))
+
+    # the vertices of the unit tetrahedron, whose every subset is affinely
+    # independent, so a face list is refused for its indices or not at all
+    TETRAHEDRON = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    ENTRY = st.one_of(st.integers(-2, len(TETRAHEDRON)), st.booleans(),
+                      st.sampled_from([0.0, 1.0, 2.5]))
+
+    @given(st.lists(st.lists(ENTRY, max_size=5), max_size=4),
+           st.sampled_from([list, tuple, iter]))
+    @example([[0, 0, 1]], list)
+    @example([[2, 1], [3, 3]], tuple)
+    @settings(max_examples=300, deadline=None)
+    def test_construction_and_closure_agree(self, faces, container):
+        # every face of a directly built complex is checked as
+        # close_under_faces checks it: the same complex or the same message
+        def outcome(build):
+            try:
+                return build()
+            except InputError as exc:
+                return str(exc)
+
+        direct = outcome(lambda: SimplicialComplex(
+            3, self.TETRAHEDRON, [container(f) for f in faces]))
+        assert direct == outcome(lambda: close_under_faces(faces, self.TETRAHEDRON))
+
+    @given(st.one_of(mixed_complexes(), moved_generated_complexes()), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_simplex_refuses_a_repeated_index(self, c, data):
+        assume(c.faces)
+        face = list(data.draw(st.sampled_from(sorted(map(sorted, c.faces)))))
+        face.insert(data.draw(st.integers(0, len(face))), data.draw(st.sampled_from(face)))
+        with pytest.raises(InputError, match=re.escape(f"{face} is not a face")):
+            c.simplex(face)
+        assert c.simplex(sorted(set(face))).vertices == tuple(
+            c.vertices[i] for i in sorted(set(face)))
 
     @given(moved_generated_complexes(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -243,7 +293,7 @@ class TestLeaders:
             for x in (c, copy):
                 assert len(x.maximal_faces) == 50
                 assert len(x.classes) == 2
-                assert all(s.vertices == x.translation_class(f)
+                assert all(s.vertices == geometry.translation_key([x.vertices[i] for i in f])
                            for s, faces in x.classes for f in faces)
                 assert validate(x).passed
             assert {s for s, _ in c.classes} == {s for s, _ in copy.classes}
@@ -287,10 +337,8 @@ class TestFaceTable:
         for bad in ((0, 4), (0, -1), (9,)):
             with pytest.raises(InputError):
                 c.simplex(bad)
-            with pytest.raises(InputError):
-                c.simplex(bad)  # a failed build leaves no entry behind
             with pytest.raises(InputError, match=re.escape(f"{list(bad)} is not a face")):
-                c.translation_class(bad)  # -1 would wrap to the last vertex
+                c.simplex(bad)  # a failed build leaves no entry behind; -1 would wrap
 
     def test_equality_and_hash_ignore_the_table(self):
         a, b = from_doc(L_SHAPE_DOC), from_doc(L_SHAPE_DOC)
@@ -366,7 +414,8 @@ class TestValidate:
         # validation computes one certificate per translation key of the
         # maximal faces, not one per face
         c = generate_complex(dim, grid, 1, seed=0)
-        assert len({c.translation_class(f) for f in c.maximal_faces}) == keys
+        assert len({geometry.translation_key([c.vertices[i] for i in f])
+                    for f in c.maximal_faces}) == keys
         geometry._certificate.cache_clear()
         assert validate(c).passed
         assert geometry._certificate.cache_info().misses == keys

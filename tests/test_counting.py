@@ -306,7 +306,7 @@ class TestGroupedAdditiveCount:
         assert count_complex_additive(c, t) == facewise_additive(c, t)
         # a key that joins two faces that are not translates can give a
         # wrong sum; one that splits translates shares no work
-        assert (len({c.translation_class(f) for f in c.faces})
+        assert (len({translation_key([c.vertices[i] for i in f]) for f in c.faces})
                 == translation_class_count(c))
 
 

@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from simplat import (Simplex, count_complex, count_complex_additive,
-                     count_relative_interior, count_simplex, dilate,
-                     generate_complex, probe_dilations, run_fuzz)
-from simplat.documents import load_complex
+from simplat import (Simplex, SimplicialComplex, close_under_faces, count_complex,
+                     count_complex_additive, count_relative_interior,
+                     count_simplex, dilate, generate_complex, probe_dilations,
+                     run_fuzz)
+from simplat.documents import load_complex, parse_document
 from simplat.ehrhart import EhrhartPolynomial, verify_simplex_congruence
-from simplat.errors import InputError, check_int
+from simplat.errors import InputError, ParseError, check_int
+from simplat.geometry import as_lattice_point, barycentric_coordinates
 from simplat.numtheory import (FACTORIZE_BOUND, binomial,
                                congruence_shift_check, crt_combine,
                                dilation_plan, factorize, floor_log, is_prime,
@@ -88,6 +90,59 @@ def test_modulus_over_the_bound_is_named():
         dilation_plan(3, FACTORIZE_BOUND + 1)
     assert str(info.value) == "modulus exceeds the supported bound 1000000000000"
     assert dilation_plan(3, FACTORIZE_BOUND).modulus == FACTORIZE_BOUND
+
+
+def _doc(**changes):
+    return {"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
+            "maximal_simplices": [[0, 1, 2]], **changes}
+
+
+# (call, the error it raises, its exact message) for each refusal path of
+# a document, a complex, a polynomial, a point or a simplex
+REFUSALS = {
+    "parse_document.array": (lambda: parse_document("[]"), ParseError,
+                             "document must be a JSON object"),
+    "parse_document.faces_not_a_list": (
+        lambda: parse_document(_doc(maximal_simplices={"0": [0, 1, 2]})), ParseError,
+        "maximal_simplices must be a list of index lists"),
+    "parse_document.repeated_index": (
+        lambda: parse_document(_doc(maximal_simplices=[[0, 0, 1]])), ParseError,
+        "maximal simplex 0 repeats a vertex index"),
+    "close_under_faces.no_vertices": (
+        lambda: close_under_faces([], []), InputError,
+        "ambient_dim is required when the vertex list is empty"),
+    "SimplicialComplex.empty_face": (
+        lambda: SimplicialComplex(2, [(0, 0)], [()]), InputError,
+        "empty face in the face list"),
+    "EhrhartPolynomial.no_coefficients": (
+        lambda: EhrhartPolynomial(()), InputError,
+        "a counting polynomial needs at least one coefficient"),
+    "as_lattice_point.not_a_sequence": (
+        lambda: as_lattice_point(5), InputError, "lattice point must be a sequence, got int"),
+    "as_lattice_point.empty": (
+        lambda: as_lattice_point(()), InputError,
+        "lattice point must have at least one coordinate"),
+    "barycentric_coordinates.not_a_sequence": (
+        lambda: barycentric_coordinates(TRIANGLE, 5), InputError,
+        "point must be a sequence, got int"),
+    "barycentric_coordinates.empty": (
+        lambda: barycentric_coordinates(TRIANGLE, ()), InputError,
+        "point must have at least one coordinate"),
+    "barycentric_coordinates.wrong_dimension": (
+        lambda: barycentric_coordinates(TRIANGLE, (1, 2, 3)), InputError,
+        "expected a point in dimension 2, got 3 coordinates"),
+    "Simplex.no_vertices": (lambda: Simplex(()), InputError,
+                            "a simplex needs a nonempty tuple of vertices"),
+}
+
+
+@pytest.mark.parametrize("key", REFUSALS)
+def test_refusal_message(key):
+    call, error, message = REFUSALS[key]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 class TestCheckInt:
