@@ -26,22 +26,49 @@ class FaceClass(NamedTuple):
     faces: tuple[tuple[int, ...], ...]
 
 
+class _Faces:
+    """The faces field of SimplicialComplex: built from the closure's
+    sorted index tuples on first read, as a frozenset of frozensets, and
+    kept on the instance, whose __dict__ entry then answers every later
+    read.  Construction stores the given faces there, and __post_init__
+    takes them out again."""
+
+    def __get__(self, c, owner=None):
+        if c is None:
+            raise AttributeError("faces")  # so the field has no default
+        faces = c.__dict__["faces"] = frozenset(map(frozenset, c._closure))
+        return faces
+
+
+def _iterable(value, message: str):
+    """iter(value), or InputError(message naming value) if value is not
+    iterable."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise InputError(message.format(shown(value))) from None
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A finite simplicial complex in Z^ambient_dim: an indexed vertex list
     and the faces, nonempty frozensets of vertex indices.
 
     Construction checks each face on its own: every vertex is a point of
-    Z^ambient_dim, every given face a nonempty list of indices into the
-    vertex list that names no index twice (InputError naming the face
-    otherwise), and every maximal face is affinely independent
-    (ValidationError naming the least degenerate one).  Each given face is
-    read once, so an iterator serves too.  faces becomes the closure of the
-    given sets under nonempty subsets, and maximal_faces the given sets
-    that no other given set contains, as sorted index tuples in sorted
-    order; one pass over the given sets finds both, and the f-vector is
-    counted off the closure once.  validate() checks the conditions between
-    faces.
+    Z^ambient_dim, the face list and every given face are iterable, every
+    given face a nonempty list of indices into the vertex list that names
+    no index twice (InputError naming the value or face otherwise), and
+    every maximal face is affinely independent (ValidationError naming the
+    least degenerate one).  Each given face is read once and sorted once,
+    so an iterator serves too.  The closure of the given sets under
+    nonempty subsets is held as sorted index tuples, one per distinct
+    face, and maximal_faces are the given sets that no other given set
+    contains, in sorted order; one pass over the given sets finds both,
+    and the f-vector is counted off the closure once.  faces, the closure
+    as a frozenset of frozensets, is built from those tuples on first read
+    and kept (see _Faces), so construction builds no frozenset and the
+    library's own paths never read it.  validate() checks the conditions
+    between faces.
 
     classes groups the maximal faces by translation class
     (geometry.translation_key), ordered by their first faces.  Each class
@@ -54,7 +81,7 @@ class SimplicialComplex:
 
     ambient_dim: int
     vertices: tuple[LatticePoint, ...]
-    faces: frozenset[frozenset[int]]
+    faces: frozenset[frozenset[int]] = _Faces()
     # the faces not strictly contained in another face, sorted
     maximal_faces: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False)
@@ -63,36 +90,42 @@ class SimplicialComplex:
     # which the garbage collector then scans)
     classes: tuple[FaceClass, ...] = field(init=False, repr=False, compare=False)
     _f_vector: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # every face as a sorted index tuple
+    _closure: set[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_int(self.ambient_dim, "ambient_dim", 1)
         verts = tuple(as_lattice_point(v, self.ambient_dim) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
-        given: set[frozenset[int]] = set()
-        below: set[frozenset[int]] = set()  # strict subsets of given sets
-        for indices in self.faces:
-            indices = tuple(indices)  # read once, so an iterator is a face too
+        n = len(verts)
+        given: set[tuple[int, ...]] = set()
+        below: set[tuple[int, ...]] = set()  # strict subsets of given sets
+        faces = self.__dict__.pop("faces")  # as given; _Faces builds the closure's
+        for indices in _iterable(faces, "faces must be an iterable of faces, got {}"):
+            # read once, so an iterator is a face too
+            indices = tuple(_iterable(
+                indices, "face must be an iterable of vertex indices, got {}"))
             if not indices:
                 raise InputError("empty face in the face list")
             for i in indices:
-                if not is_int(i) or not 0 <= i < len(verts):
+                if not (type(i) is int or is_int(i)) or not 0 <= i < n:
                     raise InputError(
                         f"vertex index {shown(i)} out of range in face {shown(list(indices))}")
-            face = frozenset(indices)
-            if len(face) < len(indices):  # the set drops the repeat
+            face = tuple(sorted(indices))
+            if len(set(face)) < len(face):
                 raise InputError(f"repeated vertex index in face {list(indices)}")
             if face not in given:
                 given.add(face)
-                for r in range(1, len(face)):
-                    below.update(map(frozenset, combinations(face, r)))
+                for r in range(1, len(face)):  # subsets of a sorted tuple are sorted
+                    below.update(combinations(face, r))
         # a face below a given set is not maximal, and every face is a
         # given set or below one, so the maximal faces are the given sets
         # that are below no other
-        maximal = tuple(sorted([tuple(sorted(f)) for f in given - below]))
-        faces = below | given
+        maximal = tuple(sorted(given - below))
+        below |= given  # now the closure
         # closed under subsets, so every size up to the largest occurs
-        sizes = Counter(map(len, faces))
-        object.__setattr__(self, "faces", frozenset(faces))
+        sizes = Counter(map(len, below))
+        object.__setattr__(self, "_closure", below)
         object.__setattr__(self, "maximal_faces", maximal)
         object.__setattr__(self, "_f_vector",
                            tuple([sizes[k] for k in range(1, len(sizes) + 1)]))
@@ -116,10 +149,11 @@ class SimplicialComplex:
     def simplex(self, face) -> Simplex:
         """The geometric simplex of a face of the complex, vertices in
         index order, built on each request.  face is read once; InputError
-        unless its indices are ints, none repeated, whose set is a face."""
-        indices = tuple(face)
+        unless it is iterable and its indices are ints, none repeated,
+        whose sorted tuple is a face of the closure."""
+        indices = tuple(_iterable(face, "{} is not a face of the complex"))
         if (not all(map(is_int, indices)) or len(set(indices)) < len(indices)
-                or frozenset(indices) not in self.faces):
+                or tuple(sorted(indices)) not in self._closure):
             raise InputError(f"{shown(list(indices))} is not a face of the complex")
         return Simplex(tuple([self.vertices[i] for i in sorted(indices)]))
 

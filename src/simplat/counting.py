@@ -152,10 +152,11 @@ def count_complex(c: SimplicialComplex, t: int) -> int:
     each line are merged and their lengths summed.  The lines are cut once
     per class of SimplicialComplex.classes, on its canonical translate,
     whose least vertex is the origin: a face whose least vertex point is v
-    gets them moved by t*v.
+    gets them moved by t*v.  An empty complex, one with no maximal face,
+    counts 0; the frozenset form SimplicialComplex.faces is never read.
     """
     check_int(t, "dilation factor", 1)
-    if not c.faces:
+    if not c.maximal_faces:
         return 0
     _check_budget(enumeration_estimate(c, t))
     axis = _free_axis([bounding_box(s) for s, faces in c.classes for _ in faces], t)
@@ -189,24 +190,26 @@ def _additive_census(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     basis spans a saturated sublattice), so its h* is (1, 0, ...), and
     only the faces that lie in no unimodular maximal face add to
     A_m[k >= 1].  Each class of SimplicialComplex.classes is unimodular
-    when the diagonal of its lattice class has product 1.  The other faces
-    are counted per translation key, whose h* serves every translate; on a
-    unimodular complex no face is keyed and no h* is read.
+    when the diagonal of its lattice class has product 1.  The other faces,
+    the complex's closure less the sorted index tuples of the faces of its
+    unimodular maximal faces, are counted per translation key, whose h*
+    serves every translate; on a unimodular complex no face is keyed and
+    no h* is read.
     """
     rows = [[n] + [0] * m for m, n in enumerate(c.f_vector())]
     unimodular = [prod([h[j] for j, h in enumerate(lattice_class(s))]) == 1
                   for s, _ in c.classes]
     if not all(unimodular):
         from .ehrhart import _class_hstar
-        covered = set()  # the faces of unimodular maximal faces
+        covered = set()  # the faces of unimodular maximal faces, sorted
         for (_, faces), u in zip(c.classes, unimodular):
             if u:
                 for face in faces:
                     for r in range(1, len(face) + 1):
-                        covered.update(map(frozenset, combinations(face, r)))
+                        covered.update(combinations(face, r))
         verts = c.vertices
         keys = Counter([translation_key([verts[i] for i in face])
-                        for face in c.faces - covered])
+                        for face in c._closure - covered])
         for key, n in keys.items():
             h = _class_hstar(_certificate(key)[3]).entries
             row = rows[len(h) - 1]

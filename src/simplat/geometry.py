@@ -30,7 +30,7 @@ def as_lattice_point(value: object, dim: int | None = None) -> LatticePoint:
     if not pt:
         raise InputError("lattice point must have at least one coordinate")
     for c in pt:
-        if not is_int(c):
+        if not (type(c) is int or is_int(c)):
             raise InputError(f"lattice coordinates must be integers, got {c!r}")
     if dim is not None and len(pt) != dim:
         raise InputError(f"expected a point in dimension {dim}, got {len(pt)} coordinates")

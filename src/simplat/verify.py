@@ -253,9 +253,10 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
     and each row evaluates it in O(d^2) binomials.
 
     Before counting, ResourceLimitError refuses a table of more than
-    PROBE_ROW_LIMIT rows, or, on the enumeration path, one whose
-    t_max x len(c.faces) is over DEFAULT_ENUMERATION_LIMIT: each
-    enumerated row costs about a pass over the faces.
+    PROBE_ROW_LIMIT rows, or, on the enumeration path, one whose t_max
+    times the number of faces, sum(c.f_vector()), is over
+    DEFAULT_ENUMERATION_LIMIT: each enumerated row costs about a pass over
+    the faces.
     """
     check_int(t_max, "t_max", 1)
     plan = dilation_plan(c.ambient_dim, n)
@@ -268,10 +269,11 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
     if method == "additive":  # the census does not change with t
         count_at = partial(_census_count, _additive_census(c))
     else:
-        work = t_max * len(c.faces)
+        face_count = sum(c.f_vector())
+        work = t_max * face_count
         if work > DEFAULT_ENUMERATION_LIMIT:
             raise ResourceLimitError(
-                f"probe would count {t_max} rows x {len(c.faces)} faces = {work} "
+                f"probe would count {t_max} rows x {face_count} faces = {work} "
                 f"face counts, over the budget of {DEFAULT_ENUMERATION_LIMIT}")
         count_at = partial(counter, c)
     rows = []

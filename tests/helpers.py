@@ -11,6 +11,7 @@ simpler paths, kept as oracles for the faster ones that replaced them.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations, product
@@ -24,8 +25,9 @@ from simplat import Simplex, close_under_faces, generate_complex, validate, veri
 from simplat.counting import _check_budget, _free_axis, _lines, enumeration_estimate
 from simplat.ehrhart import SimplexCongruenceReport, hstar
 from simplat.numtheory import dilation_plan
-from simplat.geometry import bounding_box, hermite_normal_form, membership_certificate
-from simplat.errors import InputError, SimplatError, check_int
+from simplat.geometry import (bounding_box, hermite_normal_form, membership_certificate,
+                              translation_key)
+from simplat.errors import InputError, SimplatError, check_int, is_int, shown
 
 # ---------------------------------------------------------------------------
 # document fixtures
@@ -246,6 +248,50 @@ def facewise_union_count(c, t: int) -> int:
                 total += last - max(first, end + 1) + 1
                 end = last
     return total
+
+
+# ---------------------------------------------------------------------------
+# construction oracle: SimplicialComplex's face closure as it was before it
+# held sorted index tuples, one frozenset per generated subset
+
+def frozenset_closure(vertices, faces):
+    """(faces, maximal_faces, f-vector, classes) of the complex that the
+    given faces generate over the vertex list, as SimplicialComplex closed
+    them with a frozenset per subset: classes as (translation key, faces)
+    pairs in the order of their first faces.  A face list or face that
+    SimplicialComplex refuses raises InputError with its message; the
+    vertices are not checked."""
+    if not hasattr(faces, "__iter__"):
+        raise InputError(f"faces must be an iterable of faces, got {shown(faces)}")
+    given: set[frozenset[int]] = set()
+    below: set[frozenset[int]] = set()
+    for indices in faces:
+        try:
+            indices = tuple(indices)
+        except TypeError:
+            raise InputError(
+                f"face must be an iterable of vertex indices, got {shown(indices)}") from None
+        if not indices:
+            raise InputError("empty face in the face list")
+        for i in indices:
+            if not is_int(i) or not 0 <= i < len(vertices):
+                raise InputError(
+                    f"vertex index {shown(i)} out of range in face {shown(list(indices))}")
+        face = frozenset(indices)
+        if len(face) < len(indices):
+            raise InputError(f"repeated vertex index in face {list(indices)}")
+        if face not in given:
+            given.add(face)
+            for r in range(1, len(face)):
+                below.update(map(frozenset, combinations(face, r)))
+    closure = frozenset(below | given)
+    maximal = tuple(sorted(tuple(sorted(f)) for f in given - below))
+    sizes = Counter(map(len, closure))
+    classes: dict[tuple, list] = {}
+    for face in maximal:
+        classes.setdefault(translation_key([vertices[i] for i in face]), []).append(face)
+    return (closure, maximal, tuple(sizes[k] for k in range(1, len(sizes) + 1)),
+            tuple((key, tuple(fs)) for key, fs in classes.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from simplat.verify import FUZZ_KEEP_CYCLE
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
                      chain_generated_complex, closure_maximal_faces,
-                     facewise_f_vector, mixed_complexes, moved_complex,
-                     moved_generated_complexes)
+                     facewise_f_vector, frozenset_closure, mixed_complexes,
+                     moved_complex, moved_generated_complexes)
 
 
 def from_doc(doc):
@@ -246,6 +246,103 @@ class TestConstruction:
         face = [0, 1, len(c.vertices)]
         with pytest.raises(ValidationError, match=re.escape(f"face {face} is degenerate")):
             SimplicialComplex(c.ambient_dim, vertices, generators | {frozenset(face)})
+
+
+# bad faces, each refused with its own message
+BAD_FACES = [5, None, [], "01", [0, 0], [0, True], [0, 1.0], [-1], [7], [10**5000]]
+# a triangle, a dangling edge, an isolated vertex and an edge the triangle
+# holds
+NON_PURE = [[0, 1, 2], [1, 3], [4], [0, 1]]
+
+
+class TestTupleClosure:
+    """Construction closes the given faces on sorted index tuples and
+    builds faces, the frozenset form, only when it is read; the closure as
+    it was built before, a frozenset per subset, is the oracle
+    (helpers.frozenset_closure)."""
+
+    @staticmethod
+    def check(dim, vertices, given, container=list):
+        # given is a face list, or a value given in place of one; each
+        # face in it that is a list is handed over in the container
+        def build():
+            if not isinstance(given, list):
+                return SimplicialComplex(dim, vertices, given)
+            return SimplicialComplex(dim, vertices, [
+                container(f) if isinstance(f, list) else f for f in given])
+
+        try:
+            faces, maximal, f_vector, classes = frozenset_closure(vertices, given)
+        except InputError as exc:
+            with pytest.raises(InputError) as info:
+                build()
+            assert str(info.value) == str(exc)
+            return
+        read, hashed, printed, compared = (build() for _ in range(4))
+        assert not any("faces" in vars(c) for c in (read, hashed, printed, compared))
+        assert read.faces == faces and read.faces is read.faces
+        assert type(read.faces) is frozenset
+        assert all(type(face) is frozenset for face in read.faces)
+        assert read.maximal_faces == maximal
+        assert read.f_vector() == f_vector
+        assert tuple((s.vertices, fs) for s, fs in read.classes) == classes
+        # ==, hash and repr read faces as they read any field, so a
+        # complex whose faces were never read gives the same answers
+        assert hash(hashed) == hash(read) == hash((dim, read.vertices, faces))
+        assert repr(printed) == repr(read) == (
+            f"SimplicialComplex(ambient_dim={dim!r}, vertices={read.vertices!r}, "
+            f"faces={read.faces!r})")
+        assert compared == read == SimplicialComplex(dim, vertices, faces)
+
+    @given(st.one_of(mixed_complexes(), moved_generated_complexes()), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_generated_complexes_match_the_oracle(self, c, data):
+        # the maximal faces, some of their faces, some repeated, and some
+        # lone vertices, each face and the list in a drawn order
+        rng = random.Random(data.draw(st.integers(0, 2**16)))
+        closure = frozenset_closure(c.vertices, c.maximal_faces)[0]
+        given = [list(f) for f in c.maximal_faces]
+        given += [list(f) for f in closure if rng.random() < 0.3]
+        given += [[rng.randrange(len(c.vertices))] for _ in range(rng.randrange(3))]
+        given += rng.sample(given, min(len(given), rng.randrange(4)))
+        for face in given:
+            rng.shuffle(face)
+        rng.shuffle(given)
+        self.check(c.ambient_dim, c.vertices, given,
+                   data.draw(st.sampled_from([list, tuple, iter])))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_given_lists_match_the_oracle(self, data):
+        # the vertices are 0 and the first n - 1 unit vectors of Z^k, so
+        # every set of them is affinely independent
+        n = data.draw(st.integers(1, 6))
+        k = max(n - 1, 1)
+        vertices = [tuple(int(i == j + 1) for j in range(k)) for i in range(n)]
+        face = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+        given = data.draw(st.lists(face, max_size=6))
+        # given faces nested in given faces, repeats in any order, lone vertices
+        for f in list(given):
+            if data.draw(st.booleans()):
+                given.append(data.draw(st.lists(st.sampled_from(f), min_size=1,
+                                                 max_size=len(f), unique=True)))
+            if data.draw(st.booleans()):
+                given.append(data.draw(st.permutations(f)))
+        given += [[i] for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3))]
+        given = data.draw(st.permutations(given))
+        if data.draw(st.integers(0, 3)) == 3:
+            bad = BAD_FACES[data.draw(st.integers(0, len(BAD_FACES) - 1))]
+            given.insert(data.draw(st.integers(0, len(given))), bad)
+        elif data.draw(st.integers(0, 7)) == 7:
+            given = data.draw(st.sampled_from([5, None]))
+        self.check(k, vertices, given, data.draw(st.sampled_from([list, tuple, iter])))
+
+    @pytest.mark.parametrize("given", [NON_PURE, [], *[
+        NON_PURE[:2] + [bad] + NON_PURE[2:] for bad in BAD_FACES], 5, None])
+    def test_fixed_lists_match_the_oracle(self, given):
+        # the non-pure list, with each bad face among its faces, and bad
+        # face lists
+        self.check(2, [(0, 0), (1, 0), (0, 1), (3, 0), (5, 5)], given)
 
 
 class TestLeaders:

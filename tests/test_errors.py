@@ -114,6 +114,16 @@ REFUSALS = {
     "SimplicialComplex.empty_face": (
         lambda: SimplicialComplex(2, [(0, 0)], [()]), InputError,
         "empty face in the face list"),
+    "SimplicialComplex.face_not_iterable": (
+        lambda: SimplicialComplex(2, TRIANGLE.vertices, [5]), InputError,
+        "face must be an iterable of vertex indices, got 5"),
+    "SimplicialComplex.faces_not_iterable": (
+        lambda: SimplicialComplex(2, TRIANGLE.vertices, 5), InputError,
+        "faces must be an iterable of faces, got 5"),
+    "simplex.int": (lambda: SQUARE.simplex(5), InputError,
+                    "5 is not a face of the complex"),
+    "simplex.none": (lambda: SQUARE.simplex(None), InputError,
+                     "None is not a face of the complex"),
     "EhrhartPolynomial.no_coefficients": (
         lambda: EhrhartPolynomial(()), InputError,
         "a counting polynomial needs at least one coefficient"),

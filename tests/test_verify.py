@@ -28,8 +28,8 @@ from simplat.report import to_json
 from simplat.verify import FuzzFailure
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
-                     facewise_subchecks, l_shape_count, mixed_complexes,
-                     moved_complex)
+                     facewise_subchecks, frozenset_closure, l_shape_count,
+                     mixed_complexes, moved_complex)
 
 
 class TestRunVerify:
@@ -288,6 +288,47 @@ class TestFuzz:
     def test_rejects_bad_trials(self):
         with pytest.raises(InputError):
             run_fuzz(2, 1, 2, trials=0, seed=0)
+
+
+class TestFacesAreNotBuilt:
+    """Verification, counting and probing read the closure's index tuples,
+    never faces, so a complex they run on never builds its frozenset form;
+    read afterwards, it is still the closure."""
+
+    @staticmethod
+    def assert_unbuilt(c):
+        assert "faces" not in vars(c)
+        assert c.faces == frozenset_closure(c.vertices, c.maximal_faces)[0]
+
+    def test_moved_whole_grid_at_n_60(self):
+        c = moved_complex(generate_complex(2, 5, 1, seed=0), random.Random(3),
+                          (10**6, -10**6))
+        r = run_verify(c, 60)
+        assert (r.method, r.count) == ("additive", 601**2) and r.all_passed
+        self.assert_unbuilt(c)
+
+    def test_fuzz_trials(self, monkeypatch):
+        built = []
+
+        def generate(*args):
+            built.append(generate_complex(*args))
+            return built[-1]
+
+        monkeypatch.setattr(verify, "generate_complex", generate)
+        assert run_fuzz(2, 2, 6, trials=4, seed=1).passed  # enumeration
+        assert run_fuzz(3, 1, 6, trials=2, seed=1).passed  # additive
+        assert len(built) == 6
+        for c in built:
+            self.assert_unbuilt(c)
+
+    def test_census_and_probe_of_a_mixed_complex(self):
+        # a triangle of normalized volume 5 beside a unimodular one: the
+        # census keys the faces the unimodular triangle does not hold
+        c = close_under_faces([[0, 1, 2], [0, 2, 3]], [(0, 0), (3, 1), (1, 2), (0, 1)])
+        r = run_verify(c, 60)
+        assert (r.method, r.count) == ("additive", 3 * 120**2 + 2 * 120 + 1)
+        assert [row.count for row in probe_dilations(c, 6, 3).rows] == [6, 17, 34]
+        self.assert_unbuilt(c)
 
 
 class TestProbe:
