@@ -15,7 +15,7 @@ from .complexes import (SimplicialComplex, ComplexSummary, ValidationReport,
                         validate, generate_complex)
 from .counting import (CountReport, DEFAULT_ENUMERATION_LIMIT, box_points,
                        count_simplex, count_relative_interior, count_complex,
-                       count_complex_additive, enumeration_estimate)
+                       count_complex_additive, enumeration_estimate, Census, census)
 from .ehrhart import (EhrhartPolynomial, HStarVector, SimplexCongruenceReport,
                       ehrhart_polynomial, hstar,
                       verify_simplex_congruence)
@@ -39,7 +39,7 @@ __all__ = [
     "generate_complex",
     "CountReport", "DEFAULT_ENUMERATION_LIMIT", "box_points", "count_simplex",
     "count_relative_interior", "count_complex", "count_complex_additive",
-    "enumeration_estimate",
+    "enumeration_estimate", "Census", "census",
     "EhrhartPolynomial", "HStarVector", "SimplexCongruenceReport",
     "ehrhart_polynomial", "hstar",
     "verify_simplex_congruence",

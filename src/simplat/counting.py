@@ -13,9 +13,9 @@ The additive counter sums relative-interior counts over all faces, which is
 the designated fast path for large dilations: each interior count is the
 int sum h_k C(t+k-1, m) over the face's integer h*-vector h, by
 Ehrhart-Macdonald reciprocity, and h is computed once per lattice class,
-at a cost that follows the normalized volume.  The count is read off a
-census of the complex that no dilation changes: the rows A_m[k], the sum
-of h_k over the m-faces.  A_m[0] is the f-vector, and a face of a
+at a cost that follows the normalized volume.  The count is read off the
+complex's Census, which no dilation changes: the rows A_m[k], the sum of
+h_k over the m-faces.  A_m[0] is the f-vector, and a face of a
 unimodular maximal face adds nothing beyond it, so only the faces that lie
 in no unimodular maximal face are keyed by translation and read an h*; on
 a unimodular complex the count is sum f_m C(t-1, m).
@@ -31,7 +31,7 @@ from operator import add, mul
 
 from .complexes import SimplicialComplex
 from .errors import ResourceLimitError, check_int
-from .geometry import (Simplex, _certificate, bounding_box, lattice_class,
+from .geometry import (Simplex, bounding_box, lattice_class,
                        membership_certificate, translation_key)
 from .report import Report
 
@@ -181,48 +181,50 @@ def count_complex(c: SimplicialComplex, t: int) -> int:
     return total
 
 
-def _additive_census(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """The rows A_0..A_dim of c: A_m[k] sums h*_k over the m-faces of c,
-    so that the additive count at t is sum A_m[k] C(t+k-1, m).
+@dataclass(frozen=True)
+class Census(Report):
+    """The census of a complex, which no dilation changes: the rows
+    A_0..A_dim, where A_m[k] sums h*_k over the m-faces, so that the
+    additive count at t is sum A_m[k] C(t+k-1, m)."""
 
-    Every h* has h*_0 = 1, so A_m[0] is f_m.  A face of a unimodular
-    simplex is unimodular in its own affine lattice (part of a lattice
-    basis spans a saturated sublattice), so its h* is (1, 0, ...), and
-    only the faces that lie in no unimodular maximal face add to
-    A_m[k >= 1].  Each class of SimplicialComplex.classes is unimodular
-    when the diagonal of its lattice class has product 1.  The other faces,
-    the complex's closure less the sorted index tuples of the faces of its
-    unimodular maximal faces, are counted per translation key, whose h*
-    serves every translate; on a unimodular complex no face is keyed and
-    no h* is read.
+    rows: tuple[tuple[int, ...], ...]
+
+    def count(self, t: int) -> int:
+        """The additive count at dilation t >= 1, over the nonzero entries."""
+        check_int(t, "dilation factor", 1)
+        return sum([a * comb(t + k - 1, m)
+                    for m, row in enumerate(self.rows) for k, a in enumerate(row) if a])
+
+
+def census(c: SimplicialComplex) -> Census:
+    """The census of c.  Every h* has h*_0 = 1, so A_m[0] is f_m.  A face
+    of a unimodular simplex is unimodular in its own affine lattice (part
+    of a lattice basis spans a saturated sublattice), so its h* is
+    (1, 0, ...), and only the faces that lie in no unimodular maximal face
+    add to A_m[k >= 1]: the faces of the non-unimodular classes of
+    SimplicialComplex.classes less those of the unimodular ones, a class
+    being unimodular when the diagonal of its lattice class has product 1.
+    They are counted per translation key, whose h* serves every translate;
+    on a unimodular complex no face is keyed and no h* is read.
     """
     rows = [[n] + [0] * m for m, n in enumerate(c.f_vector())]
     unimodular = [prod([h[j] for j, h in enumerate(lattice_class(s))]) == 1
                   for s, _ in c.classes]
     if not all(unimodular):
-        from .ehrhart import _class_hstar
-        covered = set()  # the faces of unimodular maximal faces, sorted
+        from .ehrhart import hstar  # ehrhart imports this module
+        keyed, covered = set(), set()  # the faces of each kind, sorted
         for (_, faces), u in zip(c.classes, unimodular):
-            if u:
-                for face in faces:
-                    for r in range(1, len(face) + 1):
-                        covered.update(combinations(face, r))
-        verts = c.vertices
-        keys = Counter([translation_key([verts[i] for i in face])
-                        for face in c._closure - covered])
+            for face in faces:
+                for r in range(1, len(face) + 1):
+                    (covered if u else keyed).update(combinations(face, r))
+        keys = Counter([translation_key([c.vertices[i] for i in face])
+                        for face in keyed - covered])
         for key, n in keys.items():
-            h = _class_hstar(_certificate(key)[3]).entries
+            h = hstar(Simplex(key)).entries
             row = rows[len(h) - 1]
             for k in range(1, len(h)):
                 row[k] += n * h[k]
-    return tuple(map(tuple, rows))
-
-
-def _census_count(rows, t: int) -> int:
-    """The additive count at dilation t of a complex with the given census
-    rows: sum A_m[k] C(t+k-1, m) over the nonzero entries."""
-    return sum([a * comb(t + k - 1, m)
-                for m, row in enumerate(rows) for k, a in enumerate(row) if a])
+    return Census(tuple(map(tuple, rows)))
 
 
 def count_complex_additive(c: SimplicialComplex, t: int) -> int:
@@ -232,8 +234,7 @@ def count_complex_additive(c: SimplicialComplex, t: int) -> int:
 
     The interior of t*F counts as sum h_k C(t+k-1, m) for the h*-vector h
     of each m-face F (Ehrhart-Macdonald reciprocity), an int whose cost does
-    not grow with t.  The sums of h over the faces of each dimension are
-    the census rows (_additive_census), whose first column is the f-vector.
+    not grow with t, summed over the faces by census(c).count(t).
     """
-    check_int(t, "dilation factor", 1)
-    return _census_count(_additive_census(c), t)
+    check_int(t, "dilation factor", 1)  # before any h* of the census
+    return census(c).count(t)

@@ -22,9 +22,10 @@ class ResourceLimitError(SimplatError):
     """A computation would go past one of the library's fixed envelopes:
     an enumeration would scan more box points than
     counting.DEFAULT_ENUMERATION_LIMIT, a lattice class whose h*-vector is
-    asked for has a larger normalized volume, or a probe would count more
+    asked for has a larger normalized volume, a probe would count more
     rows than verify.PROBE_ROW_LIMIT or, on the enumeration path, more rows
-    times faces than DEFAULT_ENUMERATION_LIMIT."""
+    times faces than DEFAULT_ENUMERATION_LIMIT, or a generated grid would
+    have more maximal simplices than complexes.GENERATE_SIMPLEX_LIMIT."""
 
 
 class IntegrityError(SimplatError):

@@ -10,9 +10,8 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .complexes import SimplicialComplex, euler_characteristic, generate_complex
-from .counting import (DEFAULT_ENUMERATION_LIMIT, _additive_census,
-                       _census_count, count_complex, count_complex_additive,
-                       enumeration_estimate)
+from .counting import (DEFAULT_ENUMERATION_LIMIT, census, count_complex,
+                       count_complex_additive, enumeration_estimate)
 from .documents import complex_to_document
 from .ehrhart import SimplexCongruenceReport, verify_simplex_congruence
 from .errors import ResourceLimitError, check_int
@@ -249,8 +248,8 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
     congruence; exploratory, since the planned dilation is sufficient but
     not always minimal.  All rows use the method _counter picks at t_max,
     since on an improper complex the two methods differ; on the additive
-    one, the complex's census (counting._additive_census) is taken once
-    and each row evaluates it in O(d^2) binomials.
+    one, the complex's census (counting.census) is taken once and each row
+    is its Census.count, O(d^2) binomials.
 
     Before counting, ResourceLimitError refuses a table of more than
     PROBE_ROW_LIMIT rows, or, on the enumeration path, one whose t_max
@@ -267,7 +266,7 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
     euler_residue = euler % n
     counter, method = _counter(c, t_max)
     if method == "additive":  # the census does not change with t
-        count_at = partial(_census_count, _additive_census(c))
+        count_at = census(c).count
     else:
         face_count = sum(c.f_vector())
         work = t_max * face_count

@@ -256,6 +256,12 @@ class TestGen:
                              "--keep", bad, "--seed", "0")
             assert code == 2, bad
 
+    def test_oversized_grid_exits_3(self, capsys):
+        code, out, err = run(capsys, "gen", "--dim", "4", "--grid", "1000000",
+                             "--keep", "1", "--seed", "0")
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: the grid [0, 1000000]^4 has")
+
 
 class TestFuzz:
     def test_summary(self, capsys):
@@ -266,6 +272,12 @@ class TestFuzz:
         assert payload["passes"] == 4
         assert payload["failures"] == 0
         assert payload["dilation"] == 3
+
+    def test_oversized_grid_exits_3(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--dim", "2", "--grid", "1000",
+                             "--modulus", "6", "--trials", "2", "--seed", "0")
+        assert (code, out) == (3, "")
+        assert "resource limit: the grid [0, 1000]^2 has 2000000 maximal" in err
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["fuzz", "--dim", "2", "--grid", "2", "--modulus", "6",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from simplat import (SimplicialComplex, close_under_faces, count_complex,
-                     count_complex_additive, euler_characteristic, exactlp,
-                     generate_complex, geometry, summarize, validate)
-from simplat.errors import InputError, ValidationError
+from simplat import (SimplicialComplex, close_under_faces, complexes,
+                     count_complex, count_complex_additive,
+                     euler_characteristic, exactlp, generate_complex, geometry,
+                     summarize, validate)
+from simplat.errors import InputError, ResourceLimitError, ValidationError
 
 from simplat.verify import FUZZ_KEEP_CYCLE
 
@@ -600,6 +602,34 @@ class TestGenerator:
     def test_rejects_float_keep(self):
         with pytest.raises(InputError):
             generate_complex(2, 1, 0.5, seed=0)
+
+    def test_grid_at_the_simplex_cap(self):
+        # in 1-D a grid has one maximal simplex per unit, so the cap itself
+        # is a grid; keeping none of it builds only the vertices
+        cap = complexes.GENERATE_SIMPLEX_LIMIT
+        assert cap == 10**5
+        assert len(generate_complex(1, cap, 0, seed=0).vertices) == cap + 1
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError,
+                           match=f"has {cap + 1} maximal simplices, over the cap of {cap}"):
+            generate_complex(1, cap + 1, 1, seed=0)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("dim, grid", [(2, 224), (3, 26), (4, 9), (4, 10**6),
+                                           (4, 10**400)])
+    def test_oversized_grid_is_refused_before_any_vertex(self, monkeypatch, dim, grid):
+        def refused(*args, **kwargs):
+            raise AssertionError("a vertex or cell was enumerated")
+
+        monkeypatch.setattr(complexes, "product", refused)
+        with pytest.raises(ResourceLimitError, match="over the cap of 100000"):
+            generate_complex(dim, grid, 1, seed=0)
+
+    def test_argument_errors_come_before_the_cap(self):
+        with pytest.raises(InputError, match="keep fraction"):
+            generate_complex(4, 10**6, 2, seed=0)
+        with pytest.raises(InputError, match="seed"):
+            generate_complex(4, 10**6, 1, seed=0.5)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_strides_match_the_chain_walk(self, dim):

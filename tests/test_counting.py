@@ -12,11 +12,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from simplat import (Simplex, box_points, close_under_faces, count_complex,
-                     count_complex_additive, count_relative_interior,
-                     count_simplex, counting, dilate, ehrhart,
-                     enumeration_estimate, generate_complex, geometry, hstar,
-                     probe_dilations, verify)
+from simplat import (Census, Simplex, box_points, census, close_under_faces,
+                     count_complex, count_complex_additive,
+                     count_relative_interior, count_simplex, counting, dilate,
+                     ehrhart, enumeration_estimate, generate_complex, geometry,
+                     hstar, probe_dilations, verify)
 from simplat.errors import InputError, ResourceLimitError, ValidationError
 from simplat.geometry import translation_key
 from simplat.numtheory import dilation_plan
@@ -438,11 +438,19 @@ class TestCensusRows:
     @example(from_doc(MIXED_DOC), 1)
     @settings(max_examples=150, deadline=None)
     def test_rows_match_facewise_sum(self, c, t):
-        rows = counting._additive_census(c)
+        rows = census(c).rows
         assert [row[0] for row in rows] == list(c.f_vector())
         assert [len(row) for row in rows] == list(range(1, len(rows) + 1))
-        assert counting._census_count(rows, t) == facewise_additive(c, t)
+        assert census(c).count(t) == facewise_additive(c, t)
         assert count_complex_additive(c, t) == facewise_additive(c, t)
+
+    @given(mixed_complexes(), st.integers(0, 2**16),
+           st.tuples(*[st.integers(-10**6, 10**6)] * 3))
+    @example(from_doc(MIXED_DOC), 0, (10**6, -10**6, 0))
+    @settings(max_examples=80, deadline=None)
+    def test_invariant_under_unimodular_maps_and_translations(self, c, seed, shift):
+        moved = moved_complex(c, random.Random(seed), shift[:c.ambient_dim])
+        assert census(moved) == census(c)
 
     def test_mixed_document_counts_by_pick(self, monkeypatch):
         c = from_doc(MIXED_DOC)
@@ -456,7 +464,7 @@ class TestCensusRows:
         # only the faces the unimodular triangle does not hold are keyed:
         # the volume-5 triangle, whose h* is (1, 2, 2), its vertex (3, 1)
         # and its two primitive edges through that vertex
-        assert counting._additive_census(c) == ((4,), (5, 0), (2, 2, 2))
+        assert census(c) == Census(((4,), (5, 0), (2, 2, 2)))
         assert sorted(keyed) == [[(0, 0), (1, 2), (3, 1)], [(0, 0), (3, 1)],
                                  [(1, 2), (3, 1)], [(3, 1)]]
         for t in (1, 2, 3, 10**6):
@@ -464,6 +472,15 @@ class TestCensusRows:
         assert count_complex_additive(c, 10**6) == 3000002000001
         for t in (1, 2, 3, 4):
             assert count_complex(c, t) == 3 * t * t + 2 * t + 1
+
+    def test_bad_dilation_is_refused_before_the_census(self):
+        # this triangle's h* is over the volume budget, so building the
+        # census fails; a bad t is an input error all the same
+        c = close_under_faces([[0, 1, 2]], [(0, 0), (10000, 0), (0, 1001)])
+        with pytest.raises(InputError, match="dilation factor"):
+            count_complex_additive(c, -1)
+        with pytest.raises(ResourceLimitError, match="normalized volume"):
+            count_complex_additive(c, 1)
 
     @given(mixed_complexes(moved=False))
     @example(from_doc(MIXED_DOC))
@@ -503,8 +520,9 @@ class TestCensusRows:
             raise AssertionError("read on a unimodular complex")
 
         monkeypatch.setattr(counting, "translation_key", refused)
+        monkeypatch.setattr(ehrhart, "hstar", refused)
         monkeypatch.setattr(ehrhart, "_class_hstar", refused)
-        rows = counting._additive_census(c)
+        rows = census(c).rows
         assert rows == tuple((f,) + (0,) * m for m, f in enumerate(c.f_vector()))
         for t in (1, 7, 10**6):
             assert count_complex_additive(c, t) == (grid * t + 1) ** dim

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from simplat import (Simplex, SimplicialComplex, close_under_faces, count_complex,
-                     count_complex_additive, count_relative_interior,
-                     count_simplex, dilate, generate_complex, probe_dilations,
-                     run_fuzz)
+from simplat import (Simplex, SimplicialComplex, census, close_under_faces,
+                     count_complex, count_complex_additive,
+                     count_relative_interior, count_simplex, dilate,
+                     generate_complex, probe_dilations, run_fuzz)
 from simplat.documents import load_complex, parse_document
 from simplat.ehrhart import EhrhartPolynomial, verify_simplex_congruence
 from simplat.errors import InputError, ParseError, check_int
@@ -59,6 +59,7 @@ ENTRY_POINTS = {
     "count_complex.t": (lambda v: count_complex(SQUARE, v), "dilation factor", 0),
     "count_complex_additive.t": (lambda v: count_complex_additive(SQUARE, v),
                                  "dilation factor", 0),
+    "Census.count.t": (lambda v: census(SQUARE).count(v), "dilation factor", 0),
     "evaluate.t": (lambda v: EhrhartPolynomial((1, 2, 1)).evaluate(v),
                    "evaluation point", None),
     "verify_simplex_congruence.p": (lambda v: verify_simplex_congruence(TRIANGLE, v, 2),

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import pytest
 
-from simplat import (CountReport, Simplex, ValidationReport,
+from simplat import (CountReport, Simplex, ValidationReport, census,
                      complex_to_document, dilation_plan, ehrhart_polynomial,
                      factorize, hstar, load_complex, probe_dilations,
                      run_verify, summarize, verify_binomial_congruences,
@@ -37,6 +37,7 @@ REPORTS = [
     ValidationReport(duplicate_vertices=((0, 3),),
                      overlap_failures=(((0, 1, 2), (0, 1, 3)),)),
     CountReport(object_id="square", dilation=2, count=9, method="enumeration"),
+    census(SQUARE),
     ehrhart_polynomial(Simplex(((0, 0), (1, 0), (0, 1)))),  # 1 + 3/2 t + 1/2 t^2
     hstar(TRIANGLE),
     verify_simplex_congruence(TRIANGLE, 3, 2),
@@ -66,7 +67,7 @@ def report_types(cls=Report):
 
 def test_every_report_type_is_covered():
     assert {type(r) for r in REPORTS} == set(report_types())
-    assert len(REPORTS) == 16
+    assert len(REPORTS) == 17
 
 
 @pytest.mark.parametrize("report", REPORTS, ids=lambda r: type(r).__name__)
