@@ -15,10 +15,10 @@ from .complexes import (SimplicialComplex, ComplexSummary, ValidationReport,
                         validate, generate_complex)
 from .counting import (CountReport, DEFAULT_ENUMERATION_LIMIT, box_points,
                        count_simplex, count_relative_interior, count_complex,
-                       count_complex_additive, enumeration_estimate, Census, census)
-from .ehrhart import (EhrhartPolynomial, HStarVector, SimplexCongruenceReport,
-                      ehrhart_polynomial, hstar,
-                      verify_simplex_congruence)
+                       count_complex_additive, count_method, enumeration_estimate,
+                       Census, census, HStarVector, hstar)
+from .ehrhart import (EhrhartPolynomial, SimplexCongruenceReport,
+                      ehrhart_polynomial, verify_simplex_congruence)
 from .numtheory import (Factorization, PrimeTerm, DilationPlan,
                         BinomialCongruenceReport, factorize, dilation_plan,
                         binomial, padic_valuation, kummer_carries,
@@ -39,7 +39,7 @@ __all__ = [
     "generate_complex",
     "CountReport", "DEFAULT_ENUMERATION_LIMIT", "box_points", "count_simplex",
     "count_relative_interior", "count_complex", "count_complex_additive",
-    "enumeration_estimate", "Census", "census",
+    "count_method", "enumeration_estimate", "Census", "census",
     "EhrhartPolynomial", "HStarVector", "SimplexCongruenceReport",
     "ehrhart_polynomial", "hstar",
     "verify_simplex_congruence",

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .counting import CountReport, count_complex, count_complex_additive, enumeration_estimate
+from .counting import CountReport, count_complex, count_complex_additive, count_method
 from .documents import complex_to_document, document_to_json, load_complex, read_document
 from .ehrhart import ehrhart_polynomial, hstar
 from .errors import InputError, IntegrityError, ResourceLimitError, ValidationError
@@ -24,8 +24,7 @@ from .geometry import Simplex
 from .complexes import generate_complex
 from .numtheory import dilation_plan
 from .report import to_json
-from .verify import (VERIFY_ENUMERATION_BUDGET, probe_dilations, run_fuzz,
-                     run_verify)
+from .verify import probe_dilations, run_fuzz, run_verify
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -62,13 +61,9 @@ def _document_simplex(args) -> tuple[Simplex, dict]:
 
 
 def _cmd_count(args) -> int:
-    complex_ = _load(args.file)
-    if enumeration_estimate(complex_, args.dilate) > VERIFY_ENUMERATION_BUDGET:
-        count = count_complex_additive(complex_, args.dilate)
-        method = "additive"
-    else:
-        count = count_complex(complex_, args.dilate)
-        method = "enumeration"
+    c, t = _load(args.file), args.dilate
+    method = count_method(c, t)
+    count = count_complex(c, t) if method == "enumeration" else count_complex_additive(c, t)
     report = CountReport(object_id=Path(args.file).stem, dilation=args.dilate,
                          count=count, method=method)
     _emit(report)

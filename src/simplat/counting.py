@@ -19,23 +19,36 @@ h_k over the m-faces.  A_m[0] is the f-vector, and a face of a
 unimodular maximal face adds nothing beyond it, so only the faces that lie
 in no unimodular maximal face are keyed by translation and read an h*; on
 a unimodular complex the count is sum f_m C(t-1, m).
+
+The count of t*s is L(t) = sum h_k C(t+m-k, m) (m = intrinsic dimension)
+for the integer h*-vector h of s, which depends only on the lattice class
+of s.  It is computed once per class, read off the lattice points of the
+fundamental parallelepiped of the cone over the simplex (Beck & Robins,
+ch. 3), at a cost that follows the normalized volume, not the bounding
+box, and every count, closed or relative-interior (by Ehrhart-Macdonald
+reciprocity), is an int taken from it.  count_method is the one cost
+model: it picks enumeration or the additive count of t*|c|.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import add, mul
 
 from .complexes import SimplicialComplex
-from .errors import ResourceLimitError, check_int
-from .geometry import (Simplex, bounding_box, lattice_class,
+from .errors import IntegrityError, ResourceLimitError, check_int
+from .geometry import (CACHE_SIZE, LatticePoint, Simplex, bounding_box,
+                       hermite_normal_form, lattice_class,
                        membership_certificate, translation_key)
+from .numtheory import binomial
 from .report import Report
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
+VERIFY_ENUMERATION_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -143,6 +156,14 @@ def enumeration_estimate(c: SimplicialComplex, t: int) -> int:
     return sum([len(faces) * box_points(s, t) for s, faces in c.classes])
 
 
+def count_method(c: SimplicialComplex, t: int) -> str:
+    """How t*|c| is counted: "enumeration" (count_complex) while
+    enumeration_estimate(c, t) is at most VERIFY_ENUMERATION_BUDGET, beyond
+    it "additive" (count_complex_additive), which is exact at any dilation."""
+    return ("enumeration" if enumeration_estimate(c, t) <= VERIFY_ENUMERATION_BUDGET
+            else "additive")
+
+
 def count_complex(c: SimplicialComplex, t: int) -> int:
     """|t*|c| ∩ Z^d|: the lattice points of the union of the dilated
     maximal faces, each counted once even where faces overlap.
@@ -182,6 +203,84 @@ def count_complex(c: SimplicialComplex, t: int) -> int:
 
 
 @dataclass(frozen=True)
+class HStarVector(Report):
+    """Coefficients h_0..h_m of the counting polynomial of an m-simplex in
+    the binomial basis C(t+m-k, m): nonnegative integers with h_0 = 1 whose
+    sum is the normalized volume of the simplex in its own affine lattice,
+    for every m."""
+
+    entries: tuple[int, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.entries) - 1
+
+    def count(self, t: int) -> int:
+        """|t*s ∩ Z^d| = sum h_k C(t+m-k, m) for t >= 0."""
+        m = self.degree
+        return sum(h * binomial(t + m - k, m) for k, h in enumerate(self.entries))
+
+    def interior(self, t: int) -> int:
+        """Lattice points in the relative interior of t*s for t >= 1:
+        sum h_k C(t+k-1, m), by Ehrhart-Macdonald reciprocity."""
+        m = self.degree
+        return sum(h * binomial(t + k - 1, m) for k, h in enumerate(self.entries))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _class_hstar(key: tuple[LatticePoint, ...]) -> HStarVector:
+    """The h*-vector shared by every simplex of lattice class key, read off
+    the canonical simplex conv(0, key) in Z^m; a point's is (1,).
+
+    The lattice points of the fundamental parallelepiped of the cone over
+    the simplex stand for the group Z^(m+1) / W Z^(m+1), W having columns
+    (w, 1) for the vertices w; coset representatives 0 <= x_i < diag_i come
+    from the Hermite normal form of W^T.  A representative x = (x', h) has
+    cone coordinates mu_j = (h c0_j + a_j . x') / D_j, read from the
+    simplex's barycentric rows, D_j being row j at vertex j, where mu_j is
+    1, and its parallelepiped point sits at height sum frac(mu_j), which
+    is the entry of h* it adds to.
+    """
+    m = len(key)
+    if not m:
+        return HStarVector((1,))
+    volume = prod(key[j][j] for j in range(m))
+    if volume > DEFAULT_ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"normalized volume {volume} of lattice class {key} is over the "
+            f"budget of {DEFAULT_ENUMERATION_LIMIT}")
+    # sorted, the vertices are their own translation key, so Simplex and
+    # the rows read one certificate
+    canonical = tuple(sorted(((0,) * m,) + key))
+    bary, _ = membership_certificate(Simplex(canonical))
+    denoms = [c0 + sum(map(mul, cs, w)) for (c0, cs), w in zip(bary, canonical)]
+    common = lcm(*denoms)
+    # mu_j * common = forms[j] . x, with x = (x', h)
+    forms = [tuple(c * (common // dj) for c in cs + (c0,))
+             for (c0, cs), dj in zip(bary, denoms)]
+    cone = hermite_normal_form([w + (1,) for w in canonical])
+    entries = [0] * (m + 1)
+    for x in product(*(range(row[i]) for i, row in enumerate(cone))):
+        entries[sum(sum(a * xi for a, xi in zip(f, x)) % common
+                    for f in forms) // common] += 1
+    if entries[0] != 1 or sum(entries) != volume:
+        raise IntegrityError(
+            f"h* = {entries} of lattice class {key} needs h*_0 = 1 and sum {volume}")
+    return HStarVector(tuple(entries))
+
+
+def hstar(s: Simplex) -> HStarVector:
+    """The h*-vector of s.
+
+    It depends only on the lattice class of s (geometry.lattice_class) and
+    is kept in an LRU cache of CACHE_SIZE classes, so every translated or
+    unimodularly mapped copy of s shares it.  Raises ResourceLimitError
+    when the normalized volume of s is over DEFAULT_ENUMERATION_LIMIT.
+    """
+    return _class_hstar(lattice_class(s))
+
+
+@dataclass(frozen=True)
 class Census(Report):
     """The census of a complex, which no dilation changes: the rows
     A_0..A_dim, where A_m[k] sums h*_k over the m-faces, so that the
@@ -211,7 +310,6 @@ def census(c: SimplicialComplex) -> Census:
     unimodular = [prod([h[j] for j, h in enumerate(lattice_class(s))]) == 1
                   for s, _ in c.classes]
     if not all(unimodular):
-        from .ehrhart import hstar  # ehrhart imports this module
         keyed, covered = set(), set()  # the faces of each kind, sorted
         for (_, faces), u in zip(c.classes, unimodular):
             for face in faces:

@@ -117,7 +117,7 @@ def translation_key(points) -> tuple[LatticePoint, ...]:
 
 
 # Entries kept by each per-simplex cache (certificates here, h*-vectors
-# per lattice class in ehrhart); least recently used ones are dropped
+# per lattice class in counting); least recently used ones are dropped
 # beyond it.
 CACHE_SIZE = 4096
 

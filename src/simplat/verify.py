@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .complexes import SimplicialComplex, euler_characteristic, generate_complex
 from .counting import (DEFAULT_ENUMERATION_LIMIT, census, count_complex,
-                       count_complex_additive, enumeration_estimate)
+                       count_complex_additive, count_method)
 from .documents import complex_to_document
 from .ehrhart import SimplexCongruenceReport, verify_simplex_congruence
 from .errors import ResourceLimitError, check_int
@@ -19,7 +19,6 @@ from .geometry import CACHE_SIZE, LatticePoint, Simplex
 from .numtheory import DilationPlan, dilation_plan
 from .report import Report
 
-VERIFY_ENUMERATION_BUDGET = 20_000
 # Most rows one probe counts: 55 times the largest plan for d <= 6 and
 # n <= 30 (1800), so dilations up to a few times a plan stay in reach
 PROBE_ROW_LIMIT = 100_000
@@ -103,16 +102,6 @@ class VerificationReport(Report):
                 sum(map(len, reports)))
 
 
-def _counter(c: SimplicialComplex, t: int):
-    """The counter for t*|c| and its method: enumeration while the total
-    box estimate is at most VERIFY_ENUMERATION_BUDGET, beyond it the
-    additive counter (interior counts from each face's h*-vector), which
-    is exact at any dilation."""
-    if enumeration_estimate(c, t) <= VERIFY_ENUMERATION_BUDGET:
-        return count_complex, "enumeration"
-    return count_complex_additive, "additive"
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _class_subcheck(s: Simplex, p: int, k: int) -> SimplexCongruenceReport:
     """verify_simplex_congruence(s, p, k) on the canonical translate s of a
@@ -126,7 +115,7 @@ def run_verify(c: SimplicialComplex, n: int, *,
     """Count lattice points of the complex dilated by the planned factor and
     compare the residue with the Euler characteristic mod n; also run the
     prime-power congruence sub-check on every maximal simplex.  The count
-    is enumerated or additive as _counter chooses.
+    is enumerated or additive as counting.count_method chooses.
 
     Sub-checks run once per class of SimplicialComplex.classes, on its
     canonical translate, and their reports are kept in an LRU cache of
@@ -142,8 +131,8 @@ def run_verify(c: SimplicialComplex, n: int, *,
     plan = dilation_plan(c.ambient_dim, n)
     t = plan.dilation
     euler = euler_characteristic(c)
-    counter, method = _counter(c, t)
-    count = counter(c, t)
+    method = count_method(c, t)
+    count = count_complex(c, t) if method == "enumeration" else count_complex_additive(c, t)
     terms = [(term.prime, term.dilation_exponent) for term in plan.terms]
     reports_of = {}  # maximal face -> its class's reports
     for s, faces in c.classes:
@@ -246,10 +235,10 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
                     input_id: str = "complex") -> ProbeReport:
     """Count at every dilation 1..t_max and flag which satisfy the
     congruence; exploratory, since the planned dilation is sufficient but
-    not always minimal.  All rows use the method _counter picks at t_max,
-    since on an improper complex the two methods differ; on the additive
-    one, the complex's census (counting.census) is taken once and each row
-    is its Census.count, O(d^2) binomials.
+    not always minimal.  All rows use the method counting.count_method
+    picks at t_max, since on an improper complex the two methods differ; on
+    the additive one, the complex's census (counting.census) is taken once
+    and each row is its Census.count, O(d^2) binomials.
 
     Before counting, ResourceLimitError refuses a table of more than
     PROBE_ROW_LIMIT rows, or, on the enumeration path, one whose t_max
@@ -264,8 +253,7 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
             f"probe would count {t_max} rows, over the cap of {PROBE_ROW_LIMIT}")
     euler = euler_characteristic(c)
     euler_residue = euler % n
-    counter, method = _counter(c, t_max)
-    if method == "additive":  # the census does not change with t
+    if count_method(c, t_max) == "additive":  # the census does not change with t
         count_at = census(c).count
     else:
         face_count = sum(c.f_vector())
@@ -274,7 +262,7 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
             raise ResourceLimitError(
                 f"probe would count {t_max} rows x {face_count} faces = {work} "
                 f"face counts, over the budget of {DEFAULT_ENUMERATION_LIMIT}")
-        count_at = partial(counter, c)
+        count_at = partial(count_complex, c)
     rows = []
     for t in range(1, t_max + 1):
         count = count_at(t)

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplat import cli, generate_complex
+from simplat import cli, count_method, generate_complex, load_complex
 from simplat.documents import (MAX_SAFE_INT, complex_to_document, document_to_json,
                                parse_document)
 from simplat.errors import IntegrityError, ParseError
 
-from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, NOT_UTF8, UNIT_SEGMENT_DOC,
-                     UNIT_SQUARE_DOC, UNREADABLE)
+from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, MIXED_DOC, NOT_UTF8,
+                     UNIT_SEGMENT_DOC, UNIT_SQUARE_DOC, UNREADABLE)
 
 
 @pytest.fixture
@@ -162,6 +162,45 @@ class TestHstar:
         payload = json.loads(out)
         assert payload["hstar"] == [1, 0, 0]
         assert payload["coefficients"] == ["1", "3/2", "1/2"]
+
+    def test_triangle_of_volume_5(self, capsys, tmp_path):
+        # the triangle (0,0), (3,1), (1,2) has area A = 5/2 and B = 3
+        # boundary points, so Pick gives A t^2 + (B/2) t + 1, a check
+        # independent of the h* engine
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(MIXED_DOC))
+        want = ["1", "3/2", "5/2"]
+        code, out, _ = run(capsys, "hstar", str(path), "--simplex", "0")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["hstar"] == [1, 2, 2]
+        assert payload["coefficients"] == want
+        code, out, _ = run(capsys, "ehrhart", str(path), "--simplex", "0")
+        assert code == 0
+        assert json.loads(out)["coefficients"] == want
+
+
+class TestCostModelBoundary:
+    """The segment [0, L] in Z^1 has the enumeration estimate L t + 1 at
+    dilation t, so the method turns additive one step past the budget of
+    20,000 box points, on count and verify alike."""
+
+    @pytest.mark.parametrize("length, argv, count, method", [
+        (1, ("count", "--dilate", "19999"), 20_000, "enumeration"),
+        (1, ("count", "--dilate", "20000"), 20_001, "additive"),
+        (2857, ("verify", "--modulus", "7"), 20_000, "enumeration"),
+        (10_000, ("verify", "--modulus", "2"), 20_001, "additive"),
+    ])
+    def test_method_at_the_budget(self, capsys, tmp_path, length, argv, count, method):
+        doc = {"ambient_dim": 1, "vertices": [[0], [length]],
+               "maximal_simplices": [[0, 1]]}
+        path = tmp_path / "segment.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["count"], payload["method"]) == (count, method)
+        assert count_method(load_complex(doc), payload["dilation"]) == method
 
 
 class TestTmin:

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from simplat import (Census, Simplex, box_points, census, close_under_faces,
                      count_complex, count_complex_additive,
                      count_relative_interior, count_simplex, counting, dilate,
-                     ehrhart, enumeration_estimate, generate_complex, geometry,
-                     hstar, probe_dilations, verify)
+                     enumeration_estimate, generate_complex, geometry, hstar,
+                     probe_dilations, verify)
 from simplat.errors import InputError, ResourceLimitError, ValidationError
 from simplat.geometry import translation_key
 from simplat.numtheory import dilation_plan
@@ -428,6 +428,10 @@ class TestShiftedUnionCount:
         assert count_complex(c, t) == (grid * t + 1) ** dim == facewise_union_count(c, t)
 
 
+# what the census of a unimodular complex must not call
+REFUSED_ON_UNIMODULAR = ("translation_key", "hstar", "_class_hstar")
+
+
 class TestCensusRows:
     """The census rows A_m[k], the sum of h*_k over the m-faces, which
     key only the faces that lie in no unimodular maximal face, on complexes
@@ -488,8 +492,10 @@ class TestCensusRows:
     def test_union_count_and_probe_rows(self, c):
         for t in (1, 2, 3):
             assert count_complex_additive(c, t) == count_complex(c, t)
-        # a budget below every estimate puts every probe row on the census
-        with mock.patch.object(verify, "VERIFY_ENUMERATION_BUDGET", -1):
+        # a budget below every estimate puts every probe row on the census,
+        # so enumeration is refused while the rows are counted
+        with mock.patch.object(counting, "VERIFY_ENUMERATION_BUDGET", -1), \
+                mock.patch.object(verify, "count_complex", side_effect=AssertionError):
             rows = probe_dilations(c, 6, 12).rows
         assert [r.count for r in rows] == [count_complex(c, t) for t in range(1, 13)]
 
@@ -510,6 +516,14 @@ class TestCensusRows:
                     assert relative_volume([c.vertices[i] for i in sub]) == 1
                     assert hstar(c.simplex(sub)).entries == (1,) + (0,) * (r - 1)
 
+    @pytest.mark.parametrize("name", REFUSED_ON_UNIMODULAR)
+    def test_mixed_complex_reads_each_refused_name(self, monkeypatch, name):
+        # the control of the test below: each name it refuses is one the
+        # census calls, so a patch of a stale name cannot pass unseen
+        monkeypatch.setattr(counting, name, mock.Mock(side_effect=AssertionError(name)))
+        with pytest.raises(AssertionError, match=name):
+            census(from_doc(MIXED_DOC))
+
     @pytest.mark.parametrize("dim, grid, seed, shift", [
         (1, 6, 1, (10**6,)), (2, 5, 2, (-10**6, 10**6)), (3, 2, 3, (0, 0, 0))])
     def test_unimodular_complex_reads_no_key_and_no_hstar(self, monkeypatch, dim,
@@ -519,9 +533,8 @@ class TestCensusRows:
         def refused(*args):
             raise AssertionError("read on a unimodular complex")
 
-        monkeypatch.setattr(counting, "translation_key", refused)
-        monkeypatch.setattr(ehrhart, "hstar", refused)
-        monkeypatch.setattr(ehrhart, "_class_hstar", refused)
+        for name in REFUSED_ON_UNIMODULAR:
+            monkeypatch.setattr(counting, name, refused)
         rows = census(c).rows
         assert rows == tuple((f,) + (0,) * m for m, f in enumerate(c.f_vector()))
         for t in (1, 7, 10**6):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from simplat import (EhrhartPolynomial, Simplex, count_relative_interior,
                      count_simplex, ehrhart_polynomial, hstar,
                      verify_simplex_congruence)
-from simplat.ehrhart import _class_hstar
+from simplat.counting import _class_hstar
 from simplat.errors import InputError, IntegrityError, ValidationError
 from simplat.geometry import _certificate, lattice_class
 

@@ -21,7 +21,8 @@ from simplat import (Simplex, SimplicialComplex, VerificationReport, cli,
                      count_complex_additive, counting, generate_complex, geometry,
                      probe_dilations, run_fuzz, run_verify, verify)
 from simplat.documents import load_complex
-from simplat.ehrhart import SimplexCongruenceReport, _class_hstar, verify_simplex_congruence
+from simplat.counting import _class_hstar
+from simplat.ehrhart import SimplexCongruenceReport, verify_simplex_congruence
 from simplat.errors import InputError, ResourceLimitError
 from simplat.numtheory import dilation_plan
 from simplat.report import to_json
@@ -421,7 +422,7 @@ class TestProbeEnvelope:
                "maximal_simplices": [[i] for i in range(10_001)]}
         c = load_complex(doc)
         assert counting.enumeration_estimate(c, 1000) == 10_001
-        assert verify._counter(c, 1000)[1] == "enumeration"
+        assert counting.count_method(c, 1000) == "enumeration"
         self.refused_quickly(c, 1000, re.escape(
             "1000 rows x 10001 faces = 10001000 face counts, over the budget of 10000000"))
         path = tmp_path / "points.json"
