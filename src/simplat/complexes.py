@@ -19,10 +19,12 @@ from .geometry import (LatticePoint, Simplex, as_lattice_point, bounding_box,
                        intersection_is_common_face, translation_key)
 from .report import Report
 
+# Largest ambient dimension of a document or a generated grid
+MAX_AMBIENT_DIM = 6
 # Most maximal simplices generate_complex builds, dim! * grid^dim.  With
 # Python 3.11 on one Xeon core the 2-D grid-200 (80,000) takes 0.55 s at a
-# 65 MB peak and the 4-D grid-8 (98,304) 1.35 s at 145 MB; time and memory
-# grow with the count
+# 65 MB peak, the 4-D grid-8 (98,304) 1.35 s at 145 MB and the 6-D grid-2
+# (46,080) 1.7 s at 135 MB; time and memory grow with the count
 GENERATE_SIMPLEX_LIMIT = 100_000
 
 
@@ -35,16 +37,18 @@ class FaceClass(NamedTuple):
 
 
 class _Faces:
-    """The faces field of SimplicialComplex: built from the closure's
-    sorted index tuples on first read, as a frozenset of frozensets, and
-    kept on the instance, whose __dict__ entry then answers every later
-    read.  Construction stores the given faces there, and __post_init__
-    takes them out again."""
+    """The faces field of SimplicialComplex: built from maximal_faces on
+    first read, as the frozenset of their nonempty subsets, and kept on
+    the instance, whose __dict__ entry then answers every later read.
+    Construction stores the given faces there, and __post_init__ takes
+    them out again."""
 
     def __get__(self, c, owner=None):
         if c is None:
             raise AttributeError("faces")  # so the field has no default
-        faces = c.__dict__["faces"] = frozenset(map(frozenset, c._closure))
+        faces = c.__dict__["faces"] = frozenset([
+            frozenset(sub) for face in c.maximal_faces
+            for r in range(1, len(face) + 1) for sub in combinations(face, r)])
         return faces
 
 
@@ -68,15 +72,14 @@ class SimplicialComplex:
     no index twice (InputError naming the value or face otherwise), and
     every maximal face is affinely independent (ValidationError naming the
     least degenerate one).  Each given face is read once and sorted once,
-    so an iterator serves too.  The closure of the given sets under
-    nonempty subsets is held as sorted index tuples, one per distinct
-    face, and maximal_faces are the given sets that no other given set
-    contains, in sorted order; one pass over the given sets finds both,
-    and the f-vector is counted off the closure once.  faces, the closure
-    as a frozenset of frozensets, is built from those tuples on first read
-    and kept (see _Faces), so construction builds no frozenset and the
-    library's own paths never read it.  validate() checks the conditions
-    between faces.
+    so an iterator serves too.  maximal_faces are the given sets that no
+    other given set contains, in sorted order, found in one pass over the
+    given sets, which closes them under nonempty subsets as sorted index
+    tuples; the f-vector is counted off that closure, which is not kept.
+    faces, the closure as a frozenset of frozensets, is built from
+    maximal_faces on first read and kept (see _Faces), so construction
+    builds no frozenset and the library's own paths never read it.
+    validate() checks the conditions between faces.
 
     classes groups the maximal faces by translation class
     (geometry.translation_key), ordered by their first faces.  Each class
@@ -98,8 +101,6 @@ class SimplicialComplex:
     # which the garbage collector then scans)
     classes: tuple[FaceClass, ...] = field(init=False, repr=False, compare=False)
     _f_vector: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # every face as a sorted index tuple
-    _closure: set[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_int(self.ambient_dim, "ambient_dim", 1)
@@ -133,7 +134,6 @@ class SimplicialComplex:
         below |= given  # now the closure
         # closed under subsets, so every size up to the largest occurs
         sizes = Counter(map(len, below))
-        object.__setattr__(self, "_closure", below)
         object.__setattr__(self, "maximal_faces", maximal)
         object.__setattr__(self, "_f_vector",
                            tuple([sizes[k] for k in range(1, len(sizes) + 1)]))
@@ -158,10 +158,10 @@ class SimplicialComplex:
         """The geometric simplex of a face of the complex, vertices in
         index order, built on each request.  face is read once; InputError
         unless it is iterable and its indices are ints, none repeated,
-        whose sorted tuple is a face of the closure."""
+        whose set is one of faces."""
         indices = tuple(_iterable(face, "{} is not a face of the complex"))
         if (not all(map(is_int, indices)) or len(set(indices)) < len(indices)
-                or tuple(sorted(indices)) not in self._closure):
+                or frozenset(indices) not in self.faces):
             raise InputError(f"{shown(list(indices))} is not a face of the complex")
         return Simplex(tuple([self.vertices[i] for i in sorted(indices)]))
 
@@ -297,8 +297,8 @@ def generate_complex(dim: int, grid: int, keep_fraction, seed: int) -> Simplicia
     any vertex is built, a grid of more than GENERATE_SIMPLEX_LIMIT
     maximal simplices.
     """
-    if not is_int(dim) or not 1 <= dim <= 4:
-        raise InputError(f"dim must be an integer in [1, 4], got {dim!r}")
+    if not is_int(dim) or not 1 <= dim <= MAX_AMBIENT_DIM:
+        raise InputError(f"dim must be an integer in [1, {MAX_AMBIENT_DIM}], got {shown(dim)}")
     check_int(grid, "grid", 1)
     keep = _as_keep_fraction(keep_fraction)
     check_int(seed, "seed")

@@ -27,7 +27,9 @@ fundamental parallelepiped of the cone over the simplex (Beck & Robins,
 ch. 3), at a cost that follows the normalized volume, not the bounding
 box, and every count, closed or relative-interior (by Ehrhart-Macdonald
 reciprocity), is an int taken from it.  count_method is the one cost
-model: it picks enumeration or the additive count of t*|c|.
+model: it picks enumeration or the additive count of t*|c| at one t; a
+table of dilations reads every row off one census.  Every public entry
+point checks its dilation with check_int, never once per face.
 """
 
 from __future__ import annotations
@@ -61,6 +63,10 @@ class CountReport(Report):
 
 def box_points(s: Simplex, t: int = 1) -> int:
     """Number of lattice points in the bounding box of the dilated simplex."""
+    return _box_points(s, check_int(t, "dilation factor", 1))
+
+
+def _box_points(s: Simplex, t: int) -> int:
     lo, hi = bounding_box(s)
     return prod((h - l) * t + 1 for l, h in zip(lo, hi))
 
@@ -129,7 +135,6 @@ def _check_budget(points: int) -> None:
 
 
 def _count(s: Simplex, t: int, strict: bool) -> int:
-    check_int(t, "dilation factor", 1)
     _check_budget(box_points(s, t))
     axis = _free_axis([bounding_box(s)], t)
     return sum(last - first + 1
@@ -153,7 +158,8 @@ def enumeration_estimate(c: SimplicialComplex, t: int) -> int:
     every maximal face's box points, read per class off its canonical
     translate (see SimplicialComplex.classes), whose box has the size of
     every face's of the class."""
-    return sum([len(faces) * box_points(s, t) for s, faces in c.classes])
+    check_int(t, "dilation factor", 1)
+    return sum([len(faces) * _box_points(s, t) for s, faces in c.classes])
 
 
 def count_method(c: SimplicialComplex, t: int) -> str:
@@ -176,10 +182,9 @@ def count_complex(c: SimplicialComplex, t: int) -> int:
     gets them moved by t*v.  An empty complex, one with no maximal face,
     counts 0; the frozenset form SimplicialComplex.faces is never read.
     """
-    check_int(t, "dilation factor", 1)
+    _check_budget(enumeration_estimate(c, t))
     if not c.maximal_faces:
         return 0
-    _check_budget(enumeration_estimate(c, t))
     axis = _free_axis([bounding_box(s) for s, faces in c.classes for _ in faces], t)
     verts = c.vertices
     lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
@@ -217,12 +222,14 @@ class HStarVector(Report):
 
     def count(self, t: int) -> int:
         """|t*s ∩ Z^d| = sum h_k C(t+m-k, m) for t >= 0."""
+        check_int(t, "dilation factor", 0)
         m = self.degree
         return sum(h * binomial(t + m - k, m) for k, h in enumerate(self.entries))
 
     def interior(self, t: int) -> int:
         """Lattice points in the relative interior of t*s for t >= 1:
         sum h_k C(t+k-1, m), by Ehrhart-Macdonald reciprocity."""
+        check_int(t, "dilation factor", 1)
         m = self.degree
         return sum(h * binomial(t + k - 1, m) for k, h in enumerate(self.entries))
 

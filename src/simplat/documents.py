@@ -12,13 +12,12 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .complexes import SimplicialComplex, close_under_faces, validate
+from .complexes import MAX_AMBIENT_DIM, SimplicialComplex, close_under_faces, validate
 from .errors import InputError, ParseError, ValidationError, is_int, shown
 from .report import to_json
 
 DOCUMENT_KEYS = ("ambient_dim", "vertices", "maximal_simplices")
 MAX_SAFE_INT = 2 ** 53 - 1
-MAX_AMBIENT_DIM = 6
 
 
 @dataclass(frozen=True)

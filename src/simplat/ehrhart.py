@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .counting import HStarVector, box_points, count_simplex, hstar
-from .errors import InputError, IntegrityError, check_int
+from .errors import InputError, IntegrityError, check_int, is_int, shown
 from .geometry import LatticePoint, Simplex
 from .numtheory import check_prime, exponent_log_floor
 from .report import Report
@@ -26,14 +26,18 @@ SUBCHECK_ENUMERATION_BUDGET = 512
 
 @dataclass(frozen=True)
 class EhrhartPolynomial(Report):
-    """Counting polynomial with exact rational coefficients, constant term
-    1, and nonzero leading coefficient (degree equals intrinsic dimension
-    for simplices)."""
+    """Counting polynomial with exact coefficients, each an int or a
+    Fraction, constant term 1, and nonzero leading coefficient (degree
+    equals intrinsic dimension for simplices)."""
 
     coefficients: tuple[Fraction, ...]  # c_0 + c_1 t + ... + c_m t^m
 
     def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+        coeffs = tuple(self.coefficients)
+        for c in coeffs:
+            if not (is_int(c) or isinstance(c, Fraction)):
+                raise InputError(f"coefficient must be an int or a Fraction, got {shown(c)}")
+        coeffs = tuple(map(Fraction, coeffs))
         if not coeffs:
             raise InputError("a counting polynomial needs at least one coefficient")
         object.__setattr__(self, "coefficients", coeffs)

@@ -23,9 +23,8 @@ class ResourceLimitError(SimplatError):
     an enumeration would scan more box points than
     counting.DEFAULT_ENUMERATION_LIMIT, a lattice class whose h*-vector is
     asked for has a larger normalized volume, a probe would count more
-    rows than verify.PROBE_ROW_LIMIT or, on the enumeration path, more rows
-    times faces than DEFAULT_ENUMERATION_LIMIT, or a generated grid would
-    have more maximal simplices than complexes.GENERATE_SIMPLEX_LIMIT."""
+    rows than verify.PROBE_ROW_LIMIT, or a generated grid would have more
+    maximal simplices than complexes.GENERATE_SIMPLEX_LIMIT."""
 
 
 class IntegrityError(SimplatError):

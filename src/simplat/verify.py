@@ -1,17 +1,17 @@
 """End-to-end checks: the dilation congruence count ≡ χ (mod n) on whole
 complexes, per-simplex prime-power sub-checks, deterministic fuzzing over
-generated complexes, and per-dilation probing, each a report.Report."""
+generated complexes, and per-dilation probing, whose rows are read off one
+census, each a report.Report."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 from .complexes import SimplicialComplex, euler_characteristic, generate_complex
-from .counting import (DEFAULT_ENUMERATION_LIMIT, census, count_complex,
-                       count_complex_additive, count_method)
+from .counting import census, count_complex, count_complex_additive, count_method
 from .documents import complex_to_document
 from .ehrhart import SimplexCongruenceReport, verify_simplex_congruence
 from .errors import ResourceLimitError, check_int
@@ -235,16 +235,14 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
                     input_id: str = "complex") -> ProbeReport:
     """Count at every dilation 1..t_max and flag which satisfy the
     congruence; exploratory, since the planned dilation is sufficient but
-    not always minimal.  All rows use the method counting.count_method
-    picks at t_max, since on an improper complex the two methods differ; on
-    the additive one, the complex's census (counting.census) is taken once
-    and each row is its Census.count, O(d^2) binomials.
+    not always minimal.  The complex's census (counting.census) is taken
+    once and each row is its Census.count, O(d^2) binomials, so a row does
+    not depend on t_max; on a proper complex it is the exact count, and on
+    an improper one the additive count, which counts overlaps twice.
 
     Before counting, ResourceLimitError refuses a table of more than
-    PROBE_ROW_LIMIT rows, or, on the enumeration path, one whose t_max
-    times the number of faces, sum(c.f_vector()), is over
-    DEFAULT_ENUMERATION_LIMIT: each enumerated row costs about a pass over
-    the faces.
+    PROBE_ROW_LIMIT rows; the census refuses a lattice class over its
+    volume budget.
     """
     check_int(t_max, "t_max", 1)
     plan = dilation_plan(c.ambient_dim, n)
@@ -253,16 +251,7 @@ def probe_dilations(c: SimplicialComplex, n: int, t_max: int, *,
             f"probe would count {t_max} rows, over the cap of {PROBE_ROW_LIMIT}")
     euler = euler_characteristic(c)
     euler_residue = euler % n
-    if count_method(c, t_max) == "additive":  # the census does not change with t
-        count_at = census(c).count
-    else:
-        face_count = sum(c.f_vector())
-        work = t_max * face_count
-        if work > DEFAULT_ENUMERATION_LIMIT:
-            raise ResourceLimitError(
-                f"probe would count {t_max} rows x {face_count} faces = {work} "
-                f"face counts, over the budget of {DEFAULT_ENUMERATION_LIMIT}")
-        count_at = partial(count_complex, c)
+    count_at = census(c).count
     rows = []
     for t in range(1, t_max + 1):
         count = count_at(t)

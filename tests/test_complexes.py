@@ -594,7 +594,7 @@ class TestGenerator:
         assert rebuilt.faces == c.faces
 
     def test_rejects_bad_arguments(self):
-        for args in [(0, 1, 1, 0), (5, 1, 1, 0), (2, 0, 1, 0),
+        for args in [(0, 1, 1, 0), (7, 1, 1, 0), (2, 0, 1, 0),
                      (2, 1, 2, 0), (2, 1, -1, 0), (2, 1, Fraction(5, 4), 0)]:
             with pytest.raises(InputError):
                 generate_complex(*args)

@@ -492,11 +492,12 @@ class TestCensusRows:
     def test_union_count_and_probe_rows(self, c):
         for t in (1, 2, 3):
             assert count_complex_additive(c, t) == count_complex(c, t)
-        # a budget below every estimate puts every probe row on the census,
-        # so enumeration is refused while the rows are counted
-        with mock.patch.object(counting, "VERIFY_ENUMERATION_BUDGET", -1), \
-                mock.patch.object(verify, "count_complex", side_effect=AssertionError):
+        # every probe row is read off the census, at any t_max, so
+        # enumeration is refused while the rows are counted; each row is
+        # count_complex_additive, which on a proper complex is the union count
+        with mock.patch.object(verify, "count_complex", side_effect=AssertionError):
             rows = probe_dilations(c, 6, 12).rows
+        assert [r.count for r in rows] == [count_complex_additive(c, t) for t in range(1, 13)]
         assert [r.count for r in rows] == [count_complex(c, t) for t in range(1, 13)]
 
     @given(mixed_complexes())

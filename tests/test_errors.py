@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from simplat import (Simplex, SimplicialComplex, census, close_under_faces,
-                     count_complex, count_complex_additive,
-                     count_relative_interior, count_simplex, dilate,
-                     generate_complex, probe_dilations, run_fuzz)
+from simplat import (Simplex, SimplicialComplex, box_points, census,
+                     close_under_faces, count_complex, count_complex_additive,
+                     count_method, count_relative_interior, count_simplex,
+                     dilate, enumeration_estimate, generate_complex, hstar,
+                     probe_dilations, run_fuzz)
 from simplat.documents import load_complex, parse_document
 from simplat.ehrhart import EhrhartPolynomial, verify_simplex_congruence
 from simplat.errors import InputError, ParseError, check_int
@@ -53,6 +54,13 @@ ENTRY_POINTS = {
     "crt_combine.residue": (lambda v: crt_combine([(v, 3)]), "residue", -1),
     "crt_combine.modulus": (lambda v: crt_combine([(0, v)]), "modulus", 0),
     "dilate.t": (lambda v: dilate(TRIANGLE, v), "dilation factor", 0),
+    "box_points.t": (lambda v: box_points(TRIANGLE, v), "dilation factor", 0),
+    "enumeration_estimate.t": (lambda v: enumeration_estimate(SQUARE, v),
+                               "dilation factor", 0),
+    "count_method.t": (lambda v: count_method(SQUARE, v), "dilation factor", 0),
+    "HStarVector.count.t": (lambda v: hstar(TRIANGLE).count(v), "dilation factor", -1),
+    "HStarVector.interior.t": (lambda v: hstar(TRIANGLE).interior(v),
+                               "dilation factor", 0),
     "count_simplex.t": (lambda v: count_simplex(TRIANGLE, v), "dilation factor", 0),
     "count_relative_interior.t": (lambda v: count_relative_interior(TRIANGLE, v),
                                   "dilation factor", 0),
@@ -128,6 +136,15 @@ REFUSALS = {
     "EhrhartPolynomial.no_coefficients": (
         lambda: EhrhartPolynomial(()), InputError,
         "a counting polynomial needs at least one coefficient"),
+    "EhrhartPolynomial.float_coefficient": (
+        lambda: EhrhartPolynomial((1, 0.5)), InputError,
+        "coefficient must be an int or a Fraction, got 0.5"),
+    "EhrhartPolynomial.str_coefficient": (
+        lambda: EhrhartPolynomial((1, "3/2")), InputError,
+        "coefficient must be an int or a Fraction, got '3/2'"),
+    "EhrhartPolynomial.bool_coefficient": (
+        lambda: EhrhartPolynomial((True, 1)), InputError,
+        "coefficient must be an int or a Fraction, got True"),
     "as_lattice_point.not_a_sequence": (
         lambda: as_lattice_point(5), InputError, "lattice point must be a sequence, got int"),
     "as_lattice_point.empty": (

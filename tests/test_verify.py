@@ -11,13 +11,14 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplat import (Simplex, SimplicialComplex, VerificationReport, cli,
-                     close_under_faces, complex_to_document,
+                     close_under_faces, complex_to_document, count_complex,
                      count_complex_additive, counting, generate_complex, geometry,
                      probe_dilations, run_fuzz, run_verify, verify)
 from simplat.documents import load_complex
@@ -30,7 +31,7 @@ from simplat.verify import FuzzFailure
 
 from helpers import (HOLLOW_TRIANGLE_DOC, L_SHAPE_DOC, UNIT_SQUARE_DOC,
                      facewise_subchecks, frozenset_closure, l_shape_count,
-                     mixed_complexes, moved_complex)
+                     mixed_complexes, moved_complex, moved_generated_complexes)
 
 
 class TestRunVerify:
@@ -291,6 +292,29 @@ class TestFuzz:
             run_fuzz(2, 1, 2, trials=0, seed=0)
 
 
+class TestFiveAndSixDimensions:
+    """The whole 5-D and 6-D unit cubes, where floor(log_5 d) = 1 adds a
+    term to the plan's power of 5: the count is checked against the
+    whole-grid oracle (g*t + 1)^d.  Generated grids are valid by
+    construction, so no 6-D grid is validated."""
+
+    @pytest.mark.parametrize("dim, n, t", [(5, 5, 25), (5, 30, 1800),
+                                           (6, 5, 25), (6, 30, 1800)])
+    def test_whole_unit_cube(self, dim, n, t):
+        r = run_verify(generate_complex(dim, 1, 1, seed=0), n)
+        # 5^(1 + floor(log_5 d)) = 25 divides the plan
+        assert {term.prime: term.dilation_exponent for term in r.plan.terms}[5] == 2
+        assert (r.dilation, r.count) == (t, (t + 1) ** dim)
+        assert r.all_passed
+        assert r.subcheck_tally() == (0, factorial(dim) * len(r.plan.terms))
+
+    @pytest.mark.parametrize("dim, n", [(5, 5), (5, 30), (6, 5), (6, 30)])
+    def test_fuzz(self, dim, n):
+        s = run_fuzz(dim, 1, n, trials=4, seed=0)
+        assert s.passed and s.passes == 4
+        assert s.dilation == dilation_plan(dim, n).dilation
+
+
 class TestFacesAreNotBuilt:
     """Verification, counting and probing read the closure's index tuples,
     never faces, so a complex they run on never builds its frozenset form;
@@ -357,12 +381,14 @@ class TestProbe:
 
     def test_one_method_for_every_row(self):
         # an improper complex, where the additive count counts the overlap
-        # of the two triangles twice; the box estimate passes the budget
-        # only from t = 58 on, so the rows below it test the one method
+        # of the two triangles twice: every row is read off the census, so
+        # every row is count_complex_additive, at t_max 3 as at 60, though
+        # the box estimate passes the enumeration budget only from t = 58 on
         c = close_under_faces([[0, 1, 2], [0, 1, 3]], [(0, 0), (2, 0), (0, 2), (1, 1)])
-        report = probe_dilations(c, 6, 60)
-        assert [r.count for r in report.rows] == [
-            count_complex_additive(c, t) for t in range(1, 61)]
+        additive = [count_complex_additive(c, t) for t in range(1, 61)]
+        assert additive[:3] == [7, 19, 37]
+        assert [r.count for r in probe_dilations(c, 6, 60).rows] == additive
+        assert [r.count for r in probe_dilations(c, 6, 3).rows] == additive[:3]
 
     def test_additive_rows_read_one_census(self, monkeypatch):
         # a moved whole 3-D grid-2 past the budget: the census is taken
@@ -385,11 +411,23 @@ class TestProbe:
         with pytest.raises(InputError):
             probe_dilations(load_complex(UNIT_SQUARE_DOC), 2, 0)
 
+    @given(st.one_of(mixed_complexes(), moved_generated_complexes()),
+           st.sampled_from((2, 6, 30)), st.integers(1, 40), st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_do_not_depend_on_tmax(self, c, n, t_max, k):
+        # a row is the same whatever table it is in, and the first rows
+        # match enumeration, the independent oracle
+        k = min(k, t_max)
+        rows = probe_dilations(c, n, t_max).rows
+        assert rows[:k] == probe_dilations(c, n, k).rows
+        assert [r.count for r in rows[:3]] == [count_complex(c, t)
+                                               for t in range(1, min(t_max, 3) + 1)]
+
 
 class TestProbeEnvelope:
     """probe_dilations refuses, before counting, a table of more than
-    PROBE_ROW_LIMIT rows or, on the enumeration path, of more than
-    DEFAULT_ENUMERATION_LIMIT rows times faces."""
+    PROBE_ROW_LIMIT rows; below the cap, every row is read off one census,
+    so the number of faces does not bound the table."""
 
     def refused_quickly(self, c, t_max, match):
         start = time.perf_counter()
@@ -404,9 +442,9 @@ class TestProbeEnvelope:
         self.refused_quickly(square, 10**11, "over the cap of 100000")
 
     def test_just_past_the_face_budget(self):
-        # 34130 rows x 293 faces = 10,000,090 face counts, but the table
-        # takes the additive path, whose rows read the census once and do
-        # not pass over the faces, so it is served
+        # 34130 rows x 293 faces = 10,000,090 face counts, over the box
+        # budget, but the rows read the census once and do not pass over
+        # the faces, so the table is served
         c = generate_complex(3, 2, 1, 0)
         assert len(c.faces) == 293 and 34129 * 293 <= 10**7 < 34130 * 293
         rows = probe_dilations(c, 6, 34130).rows
@@ -416,35 +454,28 @@ class TestProbeEnvelope:
 
     def test_enumeration_just_past_the_face_budget(self, tmp_path):
         # 10,001 isolated vertices: the estimate at t = 1000 is 10,001 box
-        # points, so the table is enumerated, and 1000 rows x 10,001 faces
-        # = 10,001,000 face counts is over the budget
+        # points, within the enumeration budget, and 1000 rows x 10,001
+        # faces is over 10^7 face counts, but every row reads the one census
         doc = {"ambient_dim": 1, "vertices": [[i] for i in range(10_001)],
                "maximal_simplices": [[i] for i in range(10_001)]}
-        c = load_complex(doc)
-        assert counting.enumeration_estimate(c, 1000) == 10_001
-        assert counting.count_method(c, 1000) == "enumeration"
-        self.refused_quickly(c, 1000, re.escape(
-            "1000 rows x 10001 faces = 10001000 face counts, over the budget of 10000000"))
+        assert counting.count_method(load_complex(doc), 1000) == "enumeration"
         path = tmp_path / "points.json"
         path.write_text(json.dumps(doc))
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+        start = time.perf_counter()
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
             code = cli.main(["probe", str(path), "--modulus", "6", "--tmax", "1000"])
-        assert code == cli.EXIT_RESOURCE == 3
-        assert out.getvalue() == "" and "10001000 face counts" in err.getvalue()
+        assert time.perf_counter() - start < 1
+        assert code == cli.EXIT_PASS == 0
+        assert err.getvalue().startswith("congruent dilations up to 1000: ")
+        rows = json.loads(out.getvalue())["rows"]
+        assert [r["dilation"] for r in rows] == list(range(1, 1001))
+        assert {r["count"] for r in rows} == {10_001}
 
     def test_at_the_row_cap(self, monkeypatch):
         monkeypatch.setattr(verify, "PROBE_ROW_LIMIT", 4)
         square = load_complex(UNIT_SQUARE_DOC)
         assert [r.count for r in probe_dilations(square, 2, 4).rows] == [4, 9, 16, 25]
         self.refused_quickly(square, 5, "probe would count 5 rows, over the cap of 4")
-
-    def test_at_the_face_budget(self, monkeypatch):
-        # the unit square has 4 vertices, 5 edges and 2 triangles
-        monkeypatch.setattr(verify, "DEFAULT_ENUMERATION_LIMIT", 4 * 11)
-        square = load_complex(UNIT_SQUARE_DOC)
-        assert [r.count for r in probe_dilations(square, 2, 4).rows] == [4, 9, 16, 25]
-        self.refused_quickly(square, 5, "5 rows x 11 faces = 55 face counts")
 
 
 class TestSharedSubcheckReports:
