@@ -9,16 +9,6 @@ measured in box points: a box of over DEFAULT_ENUMERATION_LIMIT points
 raises ResourceLimitError.  Every per-class figure of a complex's maximal
 faces is read off the class's canonical translate, from
 SimplicialComplex.classes, so no face's own Simplex is built.
-The additive counter sums relative-interior counts over all faces, which is
-the designated fast path for large dilations: each interior count is the
-int sum h_k C(t+k-1, m) over the face's integer h*-vector h, by
-Ehrhart-Macdonald reciprocity, and h is computed once per lattice class,
-at a cost that follows the normalized volume.  The count is read off the
-complex's Census, which no dilation changes: the rows A_m[k], the sum of
-h_k over the m-faces.  A_m[0] is the f-vector, and a face of a
-unimodular maximal face adds nothing beyond it, so only the faces that lie
-in no unimodular maximal face are keyed by translation and read an h*; on
-a unimodular complex the count is sum f_m C(t-1, m).
 
 The count of t*s is L(t) = sum h_k C(t+m-k, m) (m = intrinsic dimension)
 for the integer h*-vector h of s, which depends only on the lattice class
@@ -26,10 +16,14 @@ of s.  It is computed once per class, read off the lattice points of the
 fundamental parallelepiped of the cone over the simplex (Beck & Robins,
 ch. 3), at a cost that follows the normalized volume, not the bounding
 box, and every count, closed or relative-interior (by Ehrhart-Macdonald
-reciprocity), is an int taken from it.  count_method is the one cost
-model: it picks enumeration or the additive count of t*|c| at one t; a
-table of dilations reads every row off one census.  Every public entry
-point checks its dilation with check_int, never once per face.
+reciprocity), is an int taken from it.  The additive counter, the fast
+path for large dilations, sums the interior counts sum h_k C(t+k-1, m)
+over all faces, read off the complex's Census, which no dilation
+changes: the rows A_m[k], the sum of h_k over the m-faces.  count_method
+is the one cost model: it picks enumeration or the additive count of
+t*|c| at one t; a table of dilations reads every row off one census.
+Every public entry point checks its dilation with check_int, never once
+per face.
 """
 
 from __future__ import annotations
@@ -46,7 +40,6 @@ from .errors import IntegrityError, ResourceLimitError, check_int
 from .geometry import (CACHE_SIZE, LatticePoint, Simplex, bounding_box,
                        hermite_normal_form, lattice_class,
                        membership_certificate, translation_key)
-from .numtheory import binomial
 from .report import Report
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
@@ -224,14 +217,14 @@ class HStarVector(Report):
         """|t*s ∩ Z^d| = sum h_k C(t+m-k, m) for t >= 0."""
         check_int(t, "dilation factor", 0)
         m = self.degree
-        return sum(h * binomial(t + m - k, m) for k, h in enumerate(self.entries))
+        return sum(h * comb(t + m - k, m) for k, h in enumerate(self.entries))
 
     def interior(self, t: int) -> int:
         """Lattice points in the relative interior of t*s for t >= 1:
         sum h_k C(t+k-1, m), by Ehrhart-Macdonald reciprocity."""
         check_int(t, "dilation factor", 1)
         m = self.degree
-        return sum(h * binomial(t + k - 1, m) for k, h in enumerate(self.entries))
+        return sum(h * comb(t + k - 1, m) for k, h in enumerate(self.entries))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -280,9 +273,12 @@ def hstar(s: Simplex) -> HStarVector:
     """The h*-vector of s.
 
     It depends only on the lattice class of s (geometry.lattice_class) and
-    is kept in an LRU cache of CACHE_SIZE classes, so every translated or
-    unimodularly mapped copy of s shares it.  Raises ResourceLimitError
-    when the normalized volume of s is over DEFAULT_ENUMERATION_LIMIT.
+    is kept in an LRU cache of CACHE_SIZE classes, so a translate of s, or
+    its image under a unimodular map, listed in the same vertex order
+    shares the entry.  The class is read in the given vertex order, so
+    another order of the same vertices may take another entry, with the
+    same h*.  Raises ResourceLimitError when the normalized volume of s is
+    over DEFAULT_ENUMERATION_LIMIT.
     """
     return _class_hstar(lattice_class(s))
 
@@ -306,24 +302,21 @@ def census(c: SimplicialComplex) -> Census:
     """The census of c.  Every h* has h*_0 = 1, so A_m[0] is f_m.  A face
     of a unimodular simplex is unimodular in its own affine lattice (part
     of a lattice basis spans a saturated sublattice), so its h* is
-    (1, 0, ...), and only the faces that lie in no unimodular maximal face
-    add to A_m[k >= 1]: the faces of the non-unimodular classes of
-    SimplicialComplex.classes less those of the unimodular ones, a class
-    being unimodular when the diagonal of its lattice class has product 1.
-    They are counted per translation key, whose h* serves every translate;
-    on a unimodular complex no face is keyed and no h* is read.
+    (1, 0, ...) and adds nothing past A_m[0], keyed or not.  So the faces
+    keyed are those of dimension >= 1 of the non-unimodular classes of
+    SimplicialComplex.classes, a class being unimodular when the diagonal
+    of its lattice class has product 1; one such face that a unimodular
+    maximal face also holds adds zero.  They are counted per translation
+    key, whose h* serves every translate; on a unimodular complex no face
+    is keyed and no h* is read.
     """
     rows = [[n] + [0] * m for m, n in enumerate(c.f_vector())]
-    unimodular = [prod([h[j] for j, h in enumerate(lattice_class(s))]) == 1
-                  for s, _ in c.classes]
-    if not all(unimodular):
-        keyed, covered = set(), set()  # the faces of each kind, sorted
-        for (_, faces), u in zip(c.classes, unimodular):
-            for face in faces:
-                for r in range(1, len(face) + 1):
-                    (covered if u else keyed).update(combinations(face, r))
-        keys = Counter([translation_key([c.vertices[i] for i in face])
-                        for face in keyed - covered])
+    keyed = {sub for s, faces in c.classes  # sorted index tuples
+             if prod([h[j] for j, h in enumerate(lattice_class(s))]) != 1
+             for face in faces for r in range(2, len(face) + 1)
+             for sub in combinations(face, r)}
+    if keyed:  # empty on a unimodular complex, which builds no Counter
+        keys = Counter([translation_key([c.vertices[i] for i in face]) for face in keyed])
         for key, n in keys.items():
             h = hstar(Simplex(key)).entries
             row = rows[len(h) - 1]

@@ -39,6 +39,17 @@ class ComplexDocument:
                 "maximal_simplices": [list(f) for f in self.maximal_simplices]}
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; json.loads would keep the last of two equal
+    keys, so a repeated key is refused."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ParseError(f"document repeats the key {key!r}")
+        data[key] = value
+    return data
+
+
 def parse_document(source) -> ComplexDocument:
     """Parse a JSON string/bytes or an already-decoded dict into a document,
     enforcing the schema strictly; text json cannot read is refused too.
@@ -51,7 +62,7 @@ def parse_document(source) -> ComplexDocument:
             raise ParseError(f"unreadable JSON: document is not UTF-8 text: {exc}") from exc
     if isinstance(source, str):
         try:
-            data = json.loads(source)
+            data = json.loads(source, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
         except (ValueError, RecursionError) as exc:

@@ -284,8 +284,10 @@ def lattice_class(s: Simplex) -> tuple[LatticePoint, ...]:
     The affine lattice isomorphism x -> U(x - v_0) of Z^d that brings the
     edge matrix to that form maps s onto conv(0, h_1, ..., h_m) in
     Z^m x {0}.  So simplices that differ by a lattice translation and a
-    unimodular map share a class, and every lattice-point count of a
-    dilation t*s depends on the class alone.
+    unimodular map that keeps the vertex order share a class, and every
+    lattice-point count of a dilation t*s depends on the class alone.  The
+    class is read in the given vertex order: the same simplex listed in
+    another order may get another class, of the same counts.
     """
     return _certificate(s.vertices)[3]
 

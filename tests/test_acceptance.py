@@ -23,10 +23,12 @@ from helpers import (L_SHAPE_DOC, UNIT_SEGMENT_DOC, UNIT_SQUARE_DOC,
                      l_shape_count, normalized_volume, random_simplex,
                      union_count)
 
+# the 5-D configs need n a multiple of 5: the p = 5 term of the plan,
+# 5^(alpha + floor(log_5 d)), reaches its log-floor term only from d = 5
 SWEEP_CONFIGS = [(dim, grid, n)
                  for dim in (1, 2, 3)
                  for grid in (1, 2)
-                 for n in (2, 3, 4, 5, 6, 12)]
+                 for n in (2, 3, 4, 5, 6, 12)] + [(5, 1, n) for n in (5, 10, 30)]
 
 _SIMPLEX_POOL: list = []
 
@@ -88,28 +90,29 @@ def test_criterion_04_simplex_prime_power_congruences():
 
     Each fuzz trial keeps a subset of the full grid triangulation's cells,
     and trial 0 of every configuration keeps them all, so the faces of the
-    six full triangulations cover every simplex criterion 3 touched.
+    full triangulations of the sweep's (dim, grid) pairs, the 5-D unit cube
+    among them, cover every simplex criterion 3 touched, and p runs over
+    every prime of the sweep's moduli.
     """
     start = perf_counter()
     seen = {}
-    for dim in (1, 2, 3):
-        for grid in (1, 2):
-            c = generate_complex(dim, grid, 1, seed=0)
-            for face in c.faces:
-                s = c.simplex(tuple(sorted(face)))
-                seen[tuple(sorted(s.vertices))] = s
-    assert len(seen) > 100  # the sweep produces a real variety of faces
+    for dim, grid in sorted({(dim, grid) for dim, grid, _ in SWEEP_CONFIGS}):
+        c = generate_complex(dim, grid, 1, seed=0)
+        for face in c.faces:
+            s = c.simplex(tuple(sorted(face)))
+            seen[tuple(sorted(s.vertices))] = s
+    assert len(seen) > 2163  # the 5-D unit cube alone has 2163 faces
     checked = 0
     for s in seen.values():
         m = s.intrinsic_dim
-        for p in (2, 3):
+        for p in (2, 3, 5):
             low = floor_log(p, m) if m >= 1 else 0
             for k in (low + 1, low + 2):
                 report = verify_simplex_congruence(s, p, k)
                 assert report.modulus == p ** (k - low)
                 assert report.passed, (s.vertices, p, k, report)
                 checked += 1
-    assert checked == 4 * len(seen)
+    assert checked == 6 * len(seen)
     assert perf_counter() - start <= 300
 
 

@@ -434,8 +434,9 @@ REFUSED_ON_UNIMODULAR = ("translation_key", "hstar", "_class_hstar")
 
 class TestCensusRows:
     """The census rows A_m[k], the sum of h*_k over the m-faces, which
-    key only the faces that lie in no unimodular maximal face, on complexes
-    whose unimodular and non-unimodular maximal faces share faces."""
+    key the faces of dimension >= 1 of the non-unimodular maximal faces, on
+    complexes whose unimodular and non-unimodular maximal faces share
+    faces."""
 
     @given(mixed_complexes(), st.one_of(st.integers(1, 10), st.integers(1, 10**6)))
     @example(from_doc(MIXED_DOC), 10**6)
@@ -465,12 +466,13 @@ class TestCensusRows:
             return translation_key(points)
 
         monkeypatch.setattr(counting, "translation_key", key)
-        # only the faces the unimodular triangle does not hold are keyed:
-        # the volume-5 triangle, whose h* is (1, 2, 2), its vertex (3, 1)
-        # and its two primitive edges through that vertex
+        # the faces of dimension >= 1 of the non-unimodular triangle are
+        # keyed: the volume-5 triangle, whose h* is (1, 2, 2), and its three
+        # primitive edges, among them the one the unimodular triangle also
+        # holds, each of which adds zero
         assert census(c) == Census(((4,), (5, 0), (2, 2, 2)))
-        assert sorted(keyed) == [[(0, 0), (1, 2), (3, 1)], [(0, 0), (3, 1)],
-                                 [(1, 2), (3, 1)], [(3, 1)]]
+        assert sorted(keyed) == [[(0, 0), (1, 2)], [(0, 0), (1, 2), (3, 1)],
+                                 [(0, 0), (3, 1)], [(1, 2), (3, 1)]]
         for t in (1, 2, 3, 10**6):
             assert count_complex_additive(c, t) == 3 * t * t + 2 * t + 1
         assert count_complex_additive(c, 10**6) == 3000002000001
@@ -516,6 +518,26 @@ class TestCensusRows:
                 for sub in combinations(face, r):
                     assert relative_volume([c.vertices[i] for i in sub]) == 1
                     assert hstar(c.simplex(sub)).entries == (1,) + (0,) * (r - 1)
+
+    @pytest.mark.parametrize("dim, grid, k", [
+        (1, 6, 3), (2, 5, 3), (3, 2, 2), (4, 1, 2), (5, 1, 2)])
+    def test_scaled_whole_grid_keys_every_face(self, dim, grid, k):
+        # every vertex of a whole grid scaled by k: each maximal face has
+        # normalized volume k^dim and shares its faces with its neighbours,
+        # all of them keyed, and the union is the box [0, k*grid]^dim
+        c = generate_complex(dim, grid, 1, seed=0)
+        c = close_under_faces(c.maximal_faces, [tuple(k * x for x in v) for v in c.vertices],
+                              ambient_dim=dim)
+        assert {prod(h[j] for j, h in enumerate(geometry.lattice_class(s)))
+                for s, _ in c.classes} == {k ** dim}
+        whole = census(c)
+        for t in (1, 2, 7, 10**6):
+            assert whole.count(t) == (k * grid * t + 1) ** dim
+        if dim <= 3:
+            for t in (1, 2):
+                assert count_complex(c, t) == (k * grid * t + 1) ** dim
+        moved = moved_complex(c, random.Random(dim), (10**6, -10**6, 3, 0, -7)[:dim])
+        assert census(moved) == whole
 
     @pytest.mark.parametrize("name", REFUSED_ON_UNIMODULAR)
     def test_mixed_complex_reads_each_refused_name(self, monkeypatch, name):

@@ -80,6 +80,17 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_document({**TRIANGLE_DOC, "maximal_simplices": [[0, 1, 5]]})
 
+    def test_rejects_repeated_key(self):
+        # json.loads alone keeps the last of two equal keys, which would read
+        # this document as the edge [0, 1]; a nested object is held to it too
+        text = json.dumps(TRIANGLE_DOC)[:-1] + ', "maximal_simplices": [[0, 1]]}'
+        for source in (text, text.encode()):
+            with pytest.raises(ParseError) as info:
+                parse_document(source)
+            assert str(info.value) == "document repeats the key 'maximal_simplices'"
+        with pytest.raises(ParseError, match="repeats the key 'a'"):
+            parse_document(json.dumps(TRIANGLE_DOC)[:-1] + ', "x": {"a": 1, "a": 2}}')
+
     def test_rejects_malformed_json_text(self):
         with pytest.raises(ParseError) as info:
             parse_document("{not json")

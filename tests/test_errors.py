@@ -117,6 +117,10 @@ REFUSALS = {
     "parse_document.repeated_index": (
         lambda: parse_document(_doc(maximal_simplices=[[0, 0, 1]])), ParseError,
         "maximal simplex 0 repeats a vertex index"),
+    "parse_document.repeated_key": (
+        lambda: parse_document('{"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], '
+                               '"maximal_simplices": [[0, 1, 2]], "maximal_simplices": [[0, 1]]}'),
+        ParseError, "document repeats the key 'maximal_simplices'"),
     "close_under_faces.no_vertices": (
         lambda: close_under_faces([], []), InputError,
         "ambient_dim is required when the vertex list is empty"),

@@ -348,7 +348,7 @@ class TestFacesAreNotBuilt:
 
     def test_census_and_probe_of_a_mixed_complex(self):
         # a triangle of normalized volume 5 beside a unimodular one: the
-        # census keys the faces the unimodular triangle does not hold
+        # census keys the faces of dimension >= 1 of the first triangle
         c = close_under_faces([[0, 1, 2], [0, 2, 3]], [(0, 0), (3, 1), (1, 2), (0, 1)])
         r = run_verify(c, 60)
         assert (r.method, r.count) == ("additive", 3 * 120**2 + 2 * 120 + 1)
