@@ -8,7 +8,14 @@ about box / extent of the free axis x rows, but the budget is still
 measured in box points: a box of over DEFAULT_ENUMERATION_LIMIT points
 raises ResourceLimitError.  Every per-class figure of a complex's maximal
 faces is read off the class's canonical translate, from
-SimplicialComplex.classes, so no face's own Simplex is built.
+SimplicialComplex.classes, so no face's own Simplex is built.  The lines of
+a class depend only on its canonical translate, t and the free axis, so
+count_complex keeps them across calls in the line cache, keyed by those
+three: complexes that share classes, as the trials of a fuzz sweep do,
+cut each class once.  A class is kept only when its box at t is at most
+VERIFY_ENUMERATION_BUDGET points and it scans at most LINE_CACHE_LINES
+lines, and at most LINE_CACHE_ENTRIES classes are kept, so the cache holds
+at most 256 * 512 = 2^17 lines; a larger class is cut afresh.
 
 The count of t*s is L(t) = sum h_k C(t+m-k, m) (m = intrinsic dimension)
 for the integer h*-vector h of s, which depends only on the lattice class
@@ -38,12 +45,16 @@ from operator import add, mul
 from .complexes import SimplicialComplex
 from .errors import IntegrityError, ResourceLimitError, check_int
 from .geometry import (CACHE_SIZE, LatticePoint, Simplex, bounding_box,
-                       hermite_normal_form, lattice_class,
+                       hermite_normal_form, key_lattice_class, lattice_class,
                        membership_certificate, translation_key)
 from .report import Report
 
 DEFAULT_ENUMERATION_LIMIT = 10_000_000
 VERIFY_ENUMERATION_BUDGET = 20_000
+# Bounds of the line cache of count_complex: classes kept, and lines scanned
+# by one kept class.  The lines kept number at most 256 * 512 = 2^17.
+LINE_CACHE_ENTRIES = 256
+LINE_CACHE_LINES = 512
 
 
 @dataclass(frozen=True)
@@ -65,13 +76,14 @@ def _box_points(s: Simplex, t: int) -> int:
 
 
 def _free_axis(boxes, t: int) -> int:
-    """The axis along which the (lo, hi) boxes, dilated by t, hold the fewest
-    lines; for one box, its longest axis."""
+    """The axis along which the boxes, given as (n, (lo, hi)) pairs for a
+    box held n times and dilated by t, hold the fewest lines; for one box,
+    its longest axis."""
     def lines(axis):
-        return sum(prod((h - l) * t + 1
-                        for i, (l, h) in enumerate(zip(lo, hi)) if i != axis)
-                   for lo, hi in boxes)
-    return min(range(len(boxes[0][0])), key=lines)
+        return sum(n * prod((h - l) * t + 1
+                            for i, (l, h) in enumerate(zip(lo, hi)) if i != axis)
+                   for n, (lo, hi) in boxes)
+    return min(range(len(boxes[0][1][0])), key=lines)
 
 
 def _lines(s: Simplex, t: int, axis: int, strict: bool):
@@ -120,6 +132,25 @@ def _lines(s: Simplex, t: int, axis: int, strict: bool):
                 yield fixed, first, last
 
 
+@lru_cache(maxsize=LINE_CACHE_ENTRIES)
+def _cached_lines(s: Simplex, t: int, axis: int) -> tuple:
+    return tuple(_lines(s, t, axis, strict=False))
+
+
+def _class_lines(s: Simplex, t: int, axis: int):
+    """The closed lines of t*s along axis, (fixed, first, last) as _lines
+    gives them, for the canonical translate s of a class: read from the
+    line cache when the box of t*s has at most VERIFY_ENUMERATION_BUDGET
+    points and at most LINE_CACHE_LINES lines along axis, otherwise cut
+    afresh and not kept."""
+    lo, hi = bounding_box(s)
+    box = _box_points(s, t)
+    if (box <= VERIFY_ENUMERATION_BUDGET
+            and box // ((hi[axis] - lo[axis]) * t + 1) <= LINE_CACHE_LINES):
+        return _cached_lines(s, t, axis)
+    return list(_lines(s, t, axis, strict=False))
+
+
 def _check_budget(points: int) -> None:
     if points > DEFAULT_ENUMERATION_LIMIT:
         raise ResourceLimitError(
@@ -129,7 +160,7 @@ def _check_budget(points: int) -> None:
 
 def _count(s: Simplex, t: int, strict: bool) -> int:
     _check_budget(box_points(s, t))
-    axis = _free_axis([bounding_box(s)], t)
+    axis = _free_axis([(1, bounding_box(s))], t)
     return sum(last - first + 1
                for _, first, last in _lines(s, t, axis, strict))
 
@@ -168,21 +199,28 @@ def count_complex(c: SimplicialComplex, t: int) -> int:
     maximal faces, each counted once even where faces overlap.
 
     Every face is cut into integer intervals on the lines of one free axis,
-    the one with the fewest lines over all face boxes; the intervals on
-    each line are merged and their lengths summed.  The lines are cut once
-    per class of SimplicialComplex.classes, on its canonical translate,
-    whose least vertex is the origin: a face whose least vertex point is v
-    gets them moved by t*v.  An empty complex, one with no maximal face,
+    the one with the fewest lines over all face boxes (each class's box
+    weighted by its faces); the intervals on each line are merged and their
+    lengths summed.  The lines are cut once per class of
+    SimplicialComplex.classes, on its canonical translate, whose least
+    vertex is the origin: a face whose least vertex point is v gets them
+    moved by t*v.  The lines of a class are kept across calls in an LRU
+    cache keyed by (canonical translate, t, axis), whose entries hold no
+    face: a class whose box at t is at most VERIFY_ENUMERATION_BUDGET
+    points with at most LINE_CACHE_LINES lines along the axis, at most
+    LINE_CACHE_ENTRIES classes, so at most 2^17 lines in all.  Other
+    classes, such as one whose box nears DEFAULT_ENUMERATION_LIMIT, are cut
+    afresh and not kept.  An empty complex, one with no maximal face,
     counts 0; the frozenset form SimplicialComplex.faces is never read.
     """
     _check_budget(enumeration_estimate(c, t))
     if not c.maximal_faces:
         return 0
-    axis = _free_axis([bounding_box(s) for s, faces in c.classes for _ in faces], t)
+    axis = _free_axis([(len(faces), bounding_box(s)) for s, faces in c.classes], t)
     verts = c.vertices
     lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for s, faces in c.classes:
-        class_lines = list(_lines(s, t, axis, strict=False))
+        class_lines = _class_lines(s, t, axis)
         for face in faces:
             shift = [t * a for a in min([verts[i] for i in face])]
             step = shift.pop(axis)
@@ -269,18 +307,23 @@ def _class_hstar(key: tuple[LatticePoint, ...]) -> HStarVector:
     return HStarVector(tuple(entries))
 
 
+def _key_hstar(key: tuple[LatticePoint, ...]) -> HStarVector:
+    """The h*-vector of the simplices of translation key key, read off the
+    lattice class of their canonical translate; no Simplex is built."""
+    return _class_hstar(key_lattice_class(key))
+
+
 def hstar(s: Simplex) -> HStarVector:
     """The h*-vector of s.
 
-    It depends only on the lattice class of s (geometry.lattice_class) and
-    is kept in an LRU cache of CACHE_SIZE classes, so a translate of s, or
-    its image under a unimodular map, listed in the same vertex order
-    shares the entry.  The class is read in the given vertex order, so
-    another order of the same vertices may take another entry, with the
-    same h*.  Raises ResourceLimitError when the normalized volume of s is
-    over DEFAULT_ENUMERATION_LIMIT.
+    It depends only on the lattice class of s and is kept in an LRU cache
+    of CACHE_SIZE classes.  The class is read off the translation key of
+    s, its vertices sorted, so s in any vertex order, and any translate of
+    it, shares the entry, and so does an image of the key under a
+    unimodular map that keeps its order.  Raises ResourceLimitError when
+    the normalized volume of s is over DEFAULT_ENUMERATION_LIMIT.
     """
-    return _class_hstar(lattice_class(s))
+    return _key_hstar(translation_key(s.vertices))
 
 
 @dataclass(frozen=True)
@@ -318,7 +361,7 @@ def census(c: SimplicialComplex) -> Census:
     if keyed:  # empty on a unimodular complex, which builds no Counter
         keys = Counter([translation_key([c.vertices[i] for i in face]) for face in keyed])
         for key, n in keys.items():
-            h = hstar(Simplex(key)).entries
+            h = _key_hstar(key).entries
             row = rows[len(h) - 1]
             for k in range(1, len(h)):
                 row[k] += n * h[k]

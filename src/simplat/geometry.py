@@ -292,6 +292,14 @@ def lattice_class(s: Simplex) -> tuple[LatticePoint, ...]:
     return _certificate(s.vertices)[3]
 
 
+def key_lattice_class(key: tuple[LatticePoint, ...]) -> tuple[LatticePoint, ...]:
+    """lattice_class of the canonical translate whose vertex tuple is key,
+    a translation_key of affinely independent points, read off the
+    certificate cached for key, so no Simplex is built.  Every vertex order
+    of a simplex, and every translate of it, has the key and so the class."""
+    return _certificate(key)[3]
+
+
 def _common_face_lp(a: Simplex, b: Simplex, shared: set[LatticePoint]) -> bool:
     """True when no point of a∩b puts positive barycentric weight (w.r.t. a)
     on a vertex of a outside the shared set."""

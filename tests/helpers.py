@@ -234,7 +234,7 @@ def facewise_union_count(c, t: int) -> int:
         return 0
     _check_budget(enumeration_estimate(c, t))
     simplices = [c.simplex(face) for face in c.maximal_faces]
-    axis = _free_axis([bounding_box(s) for s in simplices], t)
+    axis = _free_axis([(1, bounding_box(s)) for s in simplices], t)
     lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for s in simplices:
         for fixed, first, last in _lines(s, t, axis, strict=False):

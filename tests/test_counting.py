@@ -427,9 +427,129 @@ class TestShiftedUnionCount:
         c, t = grid_case(dim, grid, seed, shift, dilation_plan(dim, n).dilation)
         assert count_complex(c, t) == (grid * t + 1) ** dim == facewise_union_count(c, t)
 
+    @pytest.mark.parametrize("dim, grid, t", [(1, 6, 5), (2, 4, 3), (3, 2, 2)])
+    def test_warm_line_cache_moves_lines_onto_each_face(self, dim, grid, t):
+        # the second grid is a translate of the first, so it reads every
+        # class's lines from the cache, and each face must still get them
+        # moved by its own least vertex point
+        c = generate_complex(dim, grid, 1, seed=0)
+        moved = translated_complex(c, (10**6, -10**6 + 3, 7)[:dim])
+        counting._cached_lines.cache_clear()
+        assert count_complex(c, t) == (grid * t + 1) ** dim
+        misses = counting._cached_lines.cache_info().misses
+        assert count_complex(moved, t) == (grid * t + 1) ** dim == facewise_union_count(moved, t)
+        assert counting._cached_lines.cache_info().misses == misses
+
+
+def translated_complex(c, shift):
+    """c moved by shift, its vertex list reversed: every class is kept."""
+    n = len(c.vertices)
+    vertices = [tuple(map(sum, zip(v, shift))) for v in reversed(c.vertices)]
+    return close_under_faces([[n - 1 - i for i in f] for f in c.maximal_faces], vertices,
+                             ambient_dim=c.ambient_dim)
+
+
+def tetrahedron(a, b, c):
+    """conv(0, a e1, b e2, c e3): with c >= b >= a, (a+1)(b+1) lines along
+    the free axis of its own box."""
+    return close_under_faces([[0, 1, 2, 3]], [(0, 0, 0), (a, 0, 0), (0, b, 0), (0, 0, c)])
+
+
+def segment(*end):
+    return close_under_faces([[0, 1]], [(0,) * len(end), end])
+
+
+class TestLineCache:
+    """count_complex keeps the lines of a class across calls, keyed by its
+    canonical translate, t and the free axis, for a class whose box at t
+    is at most VERIFY_ENUMERATION_BUDGET points with at most
+    LINE_CACHE_LINES lines along the axis, in at most LINE_CACHE_ENTRIES
+    entries."""
+
+    @staticmethod
+    def kept():
+        return counting._cached_lines.cache_info().currsize
+
+    def test_worst_case_is_2_to_the_17_lines(self):
+        assert counting.LINE_CACHE_ENTRIES == 256
+        assert counting.LINE_CACHE_LINES == 512
+        assert counting.LINE_CACHE_ENTRIES * counting.LINE_CACHE_LINES == 2 ** 17
+        assert counting._cached_lines.cache_info().maxsize == counting.LINE_CACHE_ENTRIES
+
+    def test_class_at_the_line_cap_is_kept_and_one_past_it_is_not(self):
+        # boxes of 16 * 32 * 32 and 19 * 27 * 27 points, both under the
+        # budget, cut into 16 * 32 = 512 and 19 * 27 = 513 lines
+        at, past = tetrahedron(15, 31, 31), tetrahedron(18, 26, 26)
+        for c, lines in ((at, 512), (past, 513)):
+            (s, _), = c.classes
+            assert enumeration_estimate(c, 1) <= counting.VERIFY_ENUMERATION_BUDGET
+            assert counting._free_axis([(1, geometry.bounding_box(s))], 1) == 1
+            assert box_points(s) // (geometry.bounding_box(s)[1][1] + 1) == lines
+        counting._cached_lines.cache_clear()
+        assert count_complex(at, 1) == union_count(at, 1)
+        assert self.kept() == 1
+        assert count_complex(at, 1) == union_count(at, 1)
+        assert counting._cached_lines.cache_info().hits == 1
+        assert count_complex(past, 1) == union_count(past, 1)
+        assert self.kept() == 1
+        assert counting._cached_lines.cache_info().misses == 1
+
+    def test_box_past_the_budget_is_not_kept(self):
+        # primitive segments cut into 2 lines along e1, whose boxes have
+        # 10^4 * 2 points, then 10001 * 2 and 5 * 10^6 * 2 = 10^7; then the
+        # unit segment on e1, 1 line, dilated to boxes of 2 * 10^4 points,
+        # then 20001 and 10^7
+        counting._cached_lines.cache_clear()
+        assert count_complex(segment(9999, 1), 1) == 2
+        assert self.kept() == 1
+        for end in ((10000, 1), (4999999, 1)):
+            assert count_complex(segment(*end), 1) == 2
+            assert self.kept() == 1
+        unit = segment(1, 0)
+        assert count_complex(unit, 19999) == 20000
+        assert self.kept() == 2
+        for t in (20000, 9999999):
+            assert enumeration_estimate(unit, t) == t + 1
+            assert count_complex(unit, t) == t + 1
+            assert self.kept() == 2
+
+    def test_entries_are_bounded(self):
+        counting._cached_lines.cache_clear()
+        for k in range(1, counting.LINE_CACHE_ENTRIES + 45):
+            assert count_complex(segment(k, 1), 1) == 2
+        assert self.kept() == counting.LINE_CACHE_ENTRIES
+
+    def test_shared_classes_hit_the_cache(self):
+        c = generate_complex(2, 3, Fraction(1, 2), seed=4)
+        counting._cached_lines.cache_clear()
+        assert count_complex(c, 3) == facewise_union_count(c, 3)
+        misses = counting._cached_lines.cache_info().misses
+        assert misses == self.kept() == len(c.classes)
+        # another seed keeps other cells of the same grid: a translate of
+        # the classes the first complex cut, each read from the cache
+        other = translated_complex(generate_complex(2, 3, Fraction(1, 2), seed=5), (-9, 10**6))
+        assert {s for s, _ in other.classes} <= {s for s, _ in c.classes}
+        assert count_complex(other, 3) == facewise_union_count(other, 3)
+        info = counting._cached_lines.cache_info()
+        assert (info.misses, info.hits) == (misses, len(other.classes))
+
+    def test_one_class_under_two_free_axes(self):
+        # the triangle conv(0, 3e1, e2) beside a long segment along e1, then
+        # along e2: its lines are cut along e1, then along e2, in two
+        # entries; read along the wrong axis, they would cover the
+        # reflected triangle
+        triangle = [(0, 0), (3, 0), (0, 1)]
+        along = [complex_of([Simplex(tuple(triangle)), simplex((0, 0), end)])
+                 for end in ((20, 0), (0, 20))]
+        counting._cached_lines.cache_clear()
+        for c in along:
+            assert count_complex(c, 2) == facewise_union_count(c, 2) == union_count(c, 2)
+        assert count_complex(along[1], 2) == 41 + 9
+        assert self.kept() == 4
+
 
 # what the census of a unimodular complex must not call
-REFUSED_ON_UNIMODULAR = ("translation_key", "hstar", "_class_hstar")
+REFUSED_ON_UNIMODULAR = ("translation_key", "_key_hstar", "_class_hstar")
 
 
 class TestCensusRows:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -99,6 +100,18 @@ class TestPolynomial:
 
     def test_repeat_calls_hit_cache(self):
         assert hstar(UNIT_TRIANGLE) is hstar(Simplex(((0, 0), (1, 0), (0, 1))))
+
+    def test_vertex_orders_share_one_class(self):
+        # the class is read off the sorted vertices, so every order of one
+        # triangle, and a translate, takes one walk, though the lattice
+        # classes read in the listed orders differ
+        points = ((0, 0), (2, 0), (0, 3))
+        orders = list(permutations(points))
+        orders.append(tuple((x + 10**6, y - 7) for x, y in points[::-1]))
+        assert len({lattice_class(Simplex(o)) for o in orders}) > 1
+        _class_hstar.cache_clear()
+        assert {hstar(Simplex(o)).entries for o in orders} == {(1, 4, 1)}
+        assert _class_hstar.cache_info().misses == 1
 
     def test_caches_are_bounded(self):
         # conv(0, e1, e2, (a, b, c)) with 0 <= a, b < c is already in Hermite
