@@ -5,18 +5,17 @@ built on the standard permutation triangulation of a cube grid."""
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate, chain, combinations, permutations, product, repeat
 from math import factorial
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import (InputError, ResourceLimitError, ValidationError, check_int,
                      is_int, shown)
 from .geometry import (LatticePoint, Simplex, as_lattice_point, bounding_box,
-                       intersection_is_common_face, translation_key)
+                       canonical_simplex, intersection_is_common_face, translation_key)
 from .report import Report
 
 # Largest ambient dimension of a document or a generated grid
@@ -61,6 +60,24 @@ def _iterable(value, message: str):
         raise InputError(message.format(shown(value))) from None
 
 
+def _packed(points) -> list[int]:
+    """One int per point of a nonempty list of points in Z^d:
+    sum((x_i - lo_i) * B^(d-1-i)), lo the least coordinates and B = 2w + 1,
+    w the widest coordinate span.  Each digit x_i - lo_i lies in [0, w], so
+    the ints sort as the points do, lexicographically.  The difference of
+    two ints has the digits x_i - y_i in [-w, w], which a base of 2w + 1
+    writes in only one way (balanced digits), so two sets of points have
+    the same int differences exactly when one is a lattice translate of
+    the other.  B = w + 1 would not do: with w = 1, (1, -1) and (0, 1)
+    both differ by 1."""
+    columns = list(zip(*points))
+    lo = list(map(min, columns))
+    base = 2 * max(map(sub, map(max, columns), lo)) + 1
+    weights = [base ** i for i in reversed(range(len(lo)))]
+    offset = sum(map(mul, lo, weights))
+    return [sum(map(mul, p, weights)) - offset for p in points]
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A finite simplicial complex in Z^ambient_dim: an indexed vertex list
@@ -72,22 +89,27 @@ class SimplicialComplex:
     no index twice (InputError naming the value or face otherwise), and
     every maximal face is affinely independent (ValidationError naming the
     least degenerate one).  Each given face is read once and sorted once,
-    so an iterator serves too.  maximal_faces are the given sets that no
-    other given set contains, in sorted order, found in one pass over the
-    given sets, which closes them under nonempty subsets as sorted index
-    tuples; the f-vector is counted off that closure, which is not kept.
-    faces, the closure as a frozenset of frozensets, is built from
-    maximal_faces on first read and kept (see _Faces), so construction
-    builds no frozenset and the library's own paths never read it.
-    validate() checks the conditions between faces.
+    so an iterator serves too.  The faces are then closed one size at a
+    time, from the largest, as sorted index tuples: the r-faces are the
+    given r-sets and the r-subsets of the maximal faces found so far, the
+    f-vector counts them, and the given r-sets among them that are no
+    subset are the maximal r-faces.  maximal_faces holds those of every
+    size, sorted; the subsets are not kept.  faces, the closure as a
+    frozenset of frozensets, is built from maximal_faces on first read
+    and kept (see _Faces), so construction builds no frozenset and the
+    library's own paths never read it.  validate() checks the conditions
+    between faces.
 
     classes groups the maximal faces by translation class
-    (geometry.translation_key), ordered by their first faces.  Each class
-    is built once, as its canonical translate, the Simplex on its key: a
-    translate has a bounding box of the same size and the same
-    lattice-point counts at every dilation, so the library reads those off
-    it.  No face's own Simplex is kept; simplex() and validate() build one
-    on request, certified as its class (see Simplex).
+    (geometry.translation_key), ordered by their first faces.  The faces
+    are grouped by the differences of one int per vertex (see _packed), and
+    the key is computed once per class.  Each class holds its canonical
+    translate, the Simplex on its key, from geometry.canonical_simplex, so
+    complexes that share a class share that Simplex: a translate has a
+    bounding box of the same size and the same lattice-point counts at
+    every dilation, so the library reads those off it.  No face's own
+    Simplex is kept; simplex() and validate() build one on request,
+    certified as its class (see Simplex).
     """
 
     ambient_dim: int
@@ -107,8 +129,7 @@ class SimplicialComplex:
         verts = tuple(as_lattice_point(v, self.ambient_dim) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
         n = len(verts)
-        given: set[tuple[int, ...]] = set()
-        below: set[tuple[int, ...]] = set()  # strict subsets of given sets
+        given: dict[int, set[tuple[int, ...]]] = {}  # the given faces by size
         faces = self.__dict__.pop("faces")  # as given; _Faces builds the closure's
         for indices in _iterable(faces, "faces must be an iterable of faces, got {}"):
             # read once, so an iterator is a face too
@@ -121,38 +142,45 @@ class SimplicialComplex:
                     raise InputError(
                         f"vertex index {shown(i)} out of range in face {shown(list(indices))}")
             face = tuple(sorted(indices))
-            if len(set(face)) < len(face):
+            size = len(face)
+            if len(set(face)) < size:
                 raise InputError(f"repeated vertex index in face {list(indices)}")
-            if face not in given:
-                given.add(face)
-                for r in range(1, len(face)):  # subsets of a sorted tuple are sorted
-                    below.update(combinations(face, r))
-        # a face below a given set is not maximal, and every face is a
-        # given set or below one, so the maximal faces are the given sets
-        # that are below no other
-        maximal = tuple(sorted(given - below))
-        below |= given  # now the closure
-        # closed under subsets, so every size up to the largest occurs
-        sizes = Counter(map(len, below))
-        object.__setattr__(self, "maximal_faces", maximal)
-        object.__setattr__(self, "_f_vector",
-                           tuple([sizes[k] for k in range(1, len(sizes) + 1)]))
-        by_key: dict[tuple[LatticePoint, ...], tuple[Simplex, list]] = {}
-        for face in maximal:  # sorted, so the least degenerate face fails first
-            key = translation_key([verts[i] for i in face])
-            entry = by_key.get(key)
-            if entry is None:
-                try:
-                    entry = by_key[key] = (Simplex(key), [])
-                except ValidationError:
-                    try:  # the face's own Simplex fails too, naming its vertices
-                        Simplex(tuple([verts[i] for i in face]))
-                    except ValidationError as exc:
-                        raise ValidationError(f"face {list(face)} is degenerate: {exc}") from exc
-                    raise
-            entry[1].append(face)
-        object.__setattr__(self, "classes", tuple(
-            [FaceClass(s, tuple(faces)) for s, faces in by_key.values()]))
+            given.setdefault(size, set()).add(face)
+        # close size by size, from the largest: the r-faces are the given
+        # r-sets and the r-subsets of larger faces, and every larger face
+        # lies in a larger maximal one, so those subsets are the r-subsets
+        # of the maximal faces found so far (of a sorted tuple, sorted)
+        maximal: list[tuple[int, ...]] = []
+        f_vector: list[int] = []
+        for r in range(max(given, default=0), 0, -1):
+            below = set(chain.from_iterable(map(combinations, maximal, repeat(r))))
+            top = given.get(r, set()) - below  # the maximal r-faces
+            maximal += top
+            f_vector.append(len(below) + len(top))
+        maximal.sort()
+        f_vector.reverse()
+        object.__setattr__(self, "maximal_faces", tuple(maximal))
+        object.__setattr__(self, "_f_vector", tuple(f_vector))
+        by_key: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        packed = _packed(verts) if maximal else []
+        for face in maximal:  # one class per offset tuple, in first-face order
+            points = sorted([packed[i] for i in face])
+            least = points[0]
+            by_key.setdefault(tuple([p - least for p in points]), []).append(face)
+        classes = []
+        for faces in by_key.values():  # the least degenerate face fails first
+            key = translation_key([verts[i] for i in faces[0]])
+            try:
+                s = canonical_simplex(key)
+            except ValidationError:
+                try:  # the face's own Simplex fails too, naming its vertices
+                    Simplex(tuple([verts[i] for i in faces[0]]))
+                except ValidationError as exc:
+                    raise ValidationError(
+                        f"face {list(faces[0])} is degenerate: {exc}") from exc
+                raise
+            classes.append(FaceClass(s, tuple(faces)))
+        object.__setattr__(self, "classes", tuple(classes))
 
     def simplex(self, face) -> Simplex:
         """The geometric simplex of a face of the complex, vertices in

@@ -116,9 +116,9 @@ def translation_key(points) -> tuple[LatticePoint, ...]:
     return tuple(points)
 
 
-# Entries kept by each per-simplex cache (certificates here, h*-vectors
-# per lattice class in counting); least recently used ones are dropped
-# beyond it.
+# Entries kept by each per-simplex cache (certificates and canonical
+# translates here, h*-vectors per lattice class in counting); least
+# recently used ones are dropped beyond it.
 CACHE_SIZE = 4096
 
 
@@ -230,6 +230,14 @@ class Simplex:
     @property
     def intrinsic_dim(self) -> int:
         return len(self.vertices) - 1
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def canonical_simplex(key: tuple[LatticePoint, ...]) -> Simplex:
+    """Simplex(key) for a translation key: built once while it stays in
+    the cache, so the complexes that hold a class share its canonical
+    translate, and a key seen before is not checked or certified again."""
+    return Simplex(key)
 
 
 def bounding_box(s: Simplex) -> tuple[LatticePoint, LatticePoint]:

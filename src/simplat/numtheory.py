@@ -10,6 +10,7 @@ multiplication, never by floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, gcd, isqrt
 
 from .errors import InputError, check_int
@@ -132,10 +133,19 @@ class DilationPlan(Report):
 
 def dilation_plan(dim: int, modulus: int) -> DilationPlan:
     """Build the per-prime dilation plan for a given ambient dimension and
-    target modulus."""
+    target modulus.  Both are checked before the plan cache is read: True
+    and 2.0 hash as 1 and 2 do, so a cached plan would answer them."""
     check_int(dim, "dim", 1)
     if check_int(modulus, "modulus", 2) > FACTORIZE_BOUND:
         raise InputError(f"modulus exceeds the supported bound {FACTORIZE_BOUND}")
+    return _plan(dim, modulus)
+
+
+# a sweep asks for one plan per trial, and a run for a few (dim, modulus)
+# pairs; typed, so an int subclass gets a plan that holds its own values
+@lru_cache(maxsize=256, typed=True)
+def _plan(dim: int, modulus: int) -> DilationPlan:
+    """dilation_plan for checked arguments."""
     fact = factorize(modulus)
     terms = []
     t = 1

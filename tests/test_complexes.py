@@ -7,6 +7,7 @@ import re
 import time
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,6 +18,7 @@ from simplat import (SimplicialComplex, close_under_faces, complexes,
                      euler_characteristic, exactlp, generate_complex, geometry,
                      summarize, validate)
 from simplat.errors import InputError, ResourceLimitError, ValidationError
+from simplat.geometry import translation_key
 
 from simplat.verify import FUZZ_KEEP_CYCLE
 
@@ -347,6 +349,88 @@ class TestTupleClosure:
         self.check(2, [(0, 0), (1, 0), (0, 1), (3, 0), (5, 5)], given)
 
 
+@st.composite
+def translated_shapes(draw):
+    """(d, vertices, given faces) in Z^d, d in 1-6: translated copies of up
+    to three simplex shapes of any dimension up to d, with coordinates near
+    0 or up to +-10^30.  Equal points share one vertex index, so copies
+    that meet share faces.  Each copy is given, with some of its faces
+    given on their own and some faces given twice, beside unreferenced
+    vertices, with the vertex list, the face list and each face in a drawn
+    order."""
+    d = draw(st.integers(1, 6))
+    coordinate = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+    copies = []
+    for _ in range(draw(st.integers(1, 3))):
+        # edge j is zero on the first j axes of a drawn order and nonzero on
+        # the next, so the edges are independent
+        axes = draw(st.permutations(range(d)))
+        shape = [(0,) * d]
+        for j in range(draw(st.integers(0, d))):
+            edge = [0] * d
+            edge[axes[j]] = draw(coordinate.filter(bool))
+            for axis in axes[j + 1:]:
+                edge[axis] = draw(coordinate)
+            shape.append(tuple(edge))
+        for shift in draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=4)):
+            copies.append([tuple(map(add, p, shift)) for p in shape])
+    points = {p: None for copy in copies for p in copy}
+    points.update((p, None) for p in draw(st.lists(st.tuples(*[coordinate] * d), max_size=3)))
+    vertices = draw(st.permutations(list(points)))
+    index = {p: i for i, p in enumerate(vertices)}
+    given = [[index[p] for p in copy] for copy in copies]
+    for face in list(given):
+        given += draw(st.lists(st.lists(st.sampled_from(face), min_size=1, unique=True),
+                               max_size=2))
+    given += draw(st.lists(st.sampled_from(given), max_size=3))
+    given = [draw(st.permutations(face)) for face in draw(st.permutations(given))]
+    return d, vertices, given
+
+
+class TestPackedClasses:
+    """Construction closes the faces size by size and groups the maximal
+    faces into translation classes by the differences of one int per
+    vertex (complexes._packed); the frozenset closure, whose classes are
+    keyed by geometry.translation_key on every face, is the oracle."""
+
+    @given(translated_shapes(), st.sampled_from([list, tuple, iter]))
+    @settings(max_examples=200, deadline=None)
+    def test_translated_shapes_match_the_oracle(self, shapes, container):
+        TestTupleClosure.check(*shapes, container)
+
+    @pytest.mark.parametrize("shift", [(0, 0), (-7, 3), (10**30, -10**30)])
+    def test_offsets_that_a_base_of_w_plus_1_merges(self, shift):
+        # the span is w = 1, and the segments differ by (0, 1) and by
+        # (1, -1): a base of w + 1 = 2 packs both as 1, a base of 2w + 1 = 3
+        # as 1 and 2
+        vertices = [tuple(map(add, p, shift)) for p in ((0, 0), (0, 1), (1, 0))]
+        TestTupleClosure.check(2, vertices, [[0, 1], [1, 2]])
+        assert len(close_under_faces([[0, 1], [1, 2]], vertices).classes) == 2
+
+    @given(st.integers(1, 6).flatmap(lambda d: st.lists(st.tuples(*[st.one_of(
+        st.integers(-3, 3), st.integers(-10**30, 10**30))] * d), min_size=1, max_size=6)))
+    @example([(0, 1), (1, 0), (0, 0), (-1, 5)])  # lexicographic, not by the last axis
+    @example([(0, -1), (0, 1), (1, -1), (-1, 1)])  # differences of every sign
+    @settings(max_examples=200, deadline=None)
+    def test_ints_sort_and_differ_as_the_points_do(self, points):
+        packed = complexes._packed(points)
+        assert sorted(range(len(points)), key=packed.__getitem__) == sorted(
+            range(len(points)), key=points.__getitem__)
+        for (a, b), (c, d) in combinations(combinations(range(len(points)), 2), 2):
+            same = [x - y for x, y in zip(points[a], points[b])] == [
+                x - y for x, y in zip(points[c], points[d])]
+            assert (packed[a] - packed[b] == packed[c] - packed[d]) == same
+
+    def test_translated_copies_share_the_canonical_simplex(self):
+        base = generate_complex(3, 1, 1, seed=0)
+        c = moved_complex(base, random.Random(1), (10**6, -10**6, 5))
+        copy = moved_complex(base, random.Random(1), (-4, 10**30, 0))
+        assert len(c.classes) == len(copy.classes) == 6
+        assert all(a.simplex is b.simplex and a.simplex.vertices == translation_key(
+            [c.vertices[i] for i in a.faces[0]]) for a, b in zip(c.classes, copy.classes))
+        assert geometry.canonical_simplex.cache_info().maxsize == geometry.CACHE_SIZE
+
+
 class TestLeaders:
     """Construction builds and certifies one Simplex per translation class
     of maximal faces, its canonical translate, and a degenerate class is
@@ -378,17 +462,20 @@ class TestLeaders:
 
     def test_moved_grid_certifies_one_face_per_class(self):
         # the 50 triangles of the whole grid-5 are translates of 2 shapes,
-        # each certified once on its canonical translate; a copy under the
-        # same map with another shift has the same shapes and certifies
-        # none, and neither do validation or each face's own Simplex, which
-        # certify the face's class
+        # each built and certified once on its canonical translate; a copy
+        # under the same map with another shift has the same shapes and
+        # builds and certifies none, and neither do validation or each
+        # face's own Simplex, which certify the face's class
         base = generate_complex(2, 5, 1, seed=0)
         for seed, shift in ((1, (10**6, -10**6)), (2, (-10**6 + 3, 10**6))):
             geometry._certificate.cache_clear()
+            geometry.canonical_simplex.cache_clear()
             c = moved_complex(base, random.Random(seed), shift)
             assert geometry._certificate.cache_info().misses == 2
+            assert geometry.canonical_simplex.cache_info().misses == 2
             copy = moved_complex(base, random.Random(seed), (-shift[1], shift[0] + 7))
             assert geometry._certificate.cache_info().misses == 2
+            assert geometry.canonical_simplex.cache_info().misses == 2
             for x in (c, copy):
                 assert len(x.maximal_faces) == 50
                 assert len(x.classes) == 2
@@ -399,6 +486,7 @@ class TestLeaders:
             for face in c.maximal_faces:  # each face's own, on request
                 assert c.simplex(face).vertices == tuple(c.vertices[i] for i in face)
             assert geometry._certificate.cache_info().misses == 2
+            assert geometry.canonical_simplex.cache_info().misses == 2
 
     @pytest.mark.parametrize("listing", [[[0, 1, 2]], [[3, 4, 5], [2, 1, 0]]])
     def test_degenerate_face_far_from_the_origin(self, listing):

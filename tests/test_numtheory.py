@@ -16,6 +16,7 @@ from simplat import (binomial, congruence_shift_check, crt_combine,
 from simplat.ehrhart import verify_simplex_congruence
 from simplat.errors import InputError
 from simplat.geometry import Simplex
+from simplat.numtheory import _plan
 
 PRIMES = st.sampled_from((2, 3, 5, 7, 11, 13))
 
@@ -173,6 +174,25 @@ class TestDilationPlan:
             dilation_plan(0, 2)
         with pytest.raises(InputError):
             dilation_plan(2, 1)
+
+    @pytest.mark.parametrize("dim, modulus, name", [
+        (True, 6, "dim"), (1.0, 6, "dim"), (2.0, 6, "dim"),
+        (3, True, "modulus"), (3, 2.0, "modulus"), (3, 6.0, "modulus")])
+    def test_bad_arguments_after_good_ones(self, dim, modulus, name):
+        # the plans of 1, 2 and 3 with 2 and 6 are cached first; True and
+        # 2.0 hash as 1 and 2 do, so they must be refused before the cache
+        # is read
+        for good in ((1, 6), (2, 6), (3, 2), (3, 6)):
+            assert dilation_plan(*good).dilation == _plan(*good).dilation
+        with pytest.raises(InputError, match=rf"^{name} must be an integer"):
+            dilation_plan(dim, modulus)
+
+    def test_plans_are_cached_by_dim_and_modulus(self):
+        _plan.cache_clear()
+        first = dilation_plan(3, 60)
+        assert dilation_plan(3, 60) is first
+        assert dilation_plan(2, 60) is not first
+        assert _plan.cache_info().misses == 2
 
 
 class TestShiftCongruence:

@@ -142,30 +142,35 @@ class TestRunVerify:
         assert methods == {"enumeration", "ehrhart"}
 
     def test_moved_grid_builds_one_simplex_per_class(self):
-        # construction certifies the canonical translates of the 2 triangle
-        # shapes of the whole grid-5; both are unimodular, so the additive
-        # count reads the f-vector and certifies nothing more (no lower
-        # face is keyed, no h* read), and the sub-checks, all enumerated at
-        # n = 60, reuse the triangles' certificates
+        # construction builds and certifies the canonical translates of the
+        # 2 triangle shapes of the whole grid-5; both are unimodular, so the
+        # additive count reads the f-vector and certifies nothing more (no
+        # lower face is keyed, no h* read), and the sub-checks, all
+        # enumerated at n = 60, reuse the triangles' certificates
         base = generate_complex(2, 5, 1, seed=0)
         for seed, shift in ((1, (10**6, -10**6)), (3, (10**6 + 3, 10**6))):
             geometry._certificate.cache_clear()
+            geometry.canonical_simplex.cache_clear()
             _class_hstar.cache_clear()
             verify._class_subcheck.cache_clear()
             c = moved_complex(base, random.Random(seed), shift)
             assert geometry._certificate.cache_info().misses == 2
+            assert geometry.canonical_simplex.cache_info().misses == 2
             r = run_verify(c, 60)
             assert (r.count, r.method, len(r.subchecks)) == (601 ** 2, "additive", 150)
             assert geometry._certificate.cache_info().misses == 2
+            assert geometry.canonical_simplex.cache_info().misses == 2
             assert verify._class_subcheck.cache_info().misses == 2 * 3
             # a copy under the same map with another shift has the same
-            # keys and lattice classes: nothing of it is certified again,
-            # and its sub-checks are all read from the cache
+            # keys and lattice classes: nothing of it is built or certified
+            # again, and its sub-checks are all read from the cache
             copy = moved_complex(base, random.Random(seed), (-shift[1], shift[0] + 7))
             assert geometry._certificate.cache_info().misses == 2
+            assert geometry.canonical_simplex.cache_info().misses == 2
             r = run_verify(copy, 60)
             assert (r.count, r.method, len(r.subchecks)) == (601 ** 2, "additive", 150)
             assert geometry._certificate.cache_info().misses == 2
+            assert geometry.canonical_simplex.cache_info().misses == 2
             assert verify._class_subcheck.cache_info().misses == 2 * 3
 
     @pytest.mark.parametrize("dim, grid, n", [(2, 4, 60), (3, 1, 30), (2, 2, 6)])
