@@ -5,17 +5,18 @@ built on the standard permutation triangulation of a cube grid."""
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, permutations, product, repeat
 from math import factorial
-from operator import mul, sub
+from operator import le, mul, sub
 from typing import NamedTuple
 
 from .errors import (InputError, ResourceLimitError, ValidationError, check_int,
                      is_int, shown)
-from .geometry import (LatticePoint, Simplex, as_lattice_point, bounding_box,
-                       canonical_simplex, intersection_is_common_face, translation_key)
+from .geometry import (LatticePoint, Simplex, as_lattice_point, canonical_simplex,
+                       intersection_is_common_face, translation_key)
 from .report import Report
 
 # Largest ambient dimension of a document or a generated grid
@@ -25,6 +26,12 @@ MAX_AMBIENT_DIM = 6
 # 65 MB peak, the 4-D grid-8 (98,304) 1.35 s at 145 MB and the 6-D grid-2
 # (46,080) 1.7 s at 135 MB; time and memory grow with the count
 GENERATE_SIMPLEX_LIMIT = 100_000
+# Most pairs of maximal faces with meeting bounding boxes that validate
+# compares.  The whole 4-D grid-4 has 2,876,928 such pairs; the whole 5-D
+# grid-2 has 7,370,880 and the whole 6-D grid-2 about 1.06 * 10^9, which
+# would take hours.  With Python 3.11 on one Xeon core, verify refuses the
+# 6-D grid-2 document about 6 s into the sweep, at a 256 MB peak
+VALIDATE_PAIR_LIMIT = 4_000_000
 
 
 class FaceClass(NamedTuple):
@@ -255,10 +262,16 @@ class ValidationReport(Report):
         return {**super()._form(), "passed": self.passed}
 
 
-def _overlapping_boxes(boxes) -> list[tuple[int, int]]:
+def _overlapping_boxes(boxes) -> Iterator[tuple[int, int]]:
     """Index pairs i < j, in lexicographic order, of the (lo, hi) boxes that
-    meet, found by a sweep over the boxes sorted by their low corner."""
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
+    meet, found by a sweep over the boxes sorted by their low corner.  Each
+    pair is kept as the one int i * n + j, n the number of boxes, until it
+    is read: at the cap a tuple per pair would take half as much memory
+    again.  The sweep counts the pairs as it goes and raises
+    ResourceLimitError, before any pair is tested, once there are more than
+    VALIDATE_PAIR_LIMIT."""
+    n = len(boxes)
+    order = sorted(range(n), key=lambda i: boxes[i][0])
     pairs = []
     for k, i in enumerate(order):
         lo1, hi1 = boxes[i]
@@ -266,16 +279,31 @@ def _overlapping_boxes(boxes) -> list[tuple[int, int]]:
             lo2, hi2 = boxes[j]
             if lo2[0] > hi1[0]:
                 break  # every later box starts further along the first axis
-            if all(a <= d and c <= b for a, b, c, d in zip(lo1, hi1, lo2, hi2)):
-                pairs.append((i, j) if i < j else (j, i))
-    return sorted(pairs)
+            if all(map(le, lo2, hi1)) and all(map(le, lo1, hi2)):
+                pairs.append(i * n + j if i < j else j * n + i)
+        if len(pairs) > VALIDATE_PAIR_LIMIT:
+            raise ResourceLimitError(
+                f"more than {VALIDATE_PAIR_LIMIT} pairs of maximal faces have "
+                f"meeting bounding boxes, over the validation cap of {VALIDATE_PAIR_LIMIT}")
+    pairs.sort()
+    return map(divmod, pairs, repeat(n))
 
 
 def validate(c: SimplicialComplex) -> ValidationReport:
     """Check what construction cannot, since it compares faces: distinct
     coordinates of the referenced vertices, and that maximal faces whose
-    bounding boxes meet (the others are disjoint) meet in a common face,
-    read off the class certificates that construction computed."""
+    bounding boxes meet (the others are disjoint) meet in a common face.
+
+    Each pair shape is tested once: two pairs of faces that differ by one
+    lattice translation get the same verdict.  A face's shape is the tuple
+    of its sorted packed vertex ints (see _packed) less the least one, and
+    a pair's key is both faces' shapes and the difference of their least
+    ints, equal for two pairs exactly when one is a translate of the other.
+    The verdicts are kept in a dict that dies with the call.  A face's
+    Simplex is built only when a pair of an untested shape needs it, and
+    its box comes from its vertex columns.  Failures are listed in the
+    order of _overlapping_boxes, which raises ResourceLimitError past
+    VALIDATE_PAIR_LIMIT pairs."""
     duplicate_vertices = []
     seen: dict[LatticePoint, int] = {}
     for i in sorted(set().union(*c.maximal_faces)):
@@ -285,11 +313,30 @@ def validate(c: SimplicialComplex) -> ValidationReport:
         else:
             seen[pt] = i
 
-    faces = c.maximal_faces
-    simplices = [Simplex(tuple([c.vertices[i] for i in f])) for f in faces]
+    faces, verts = c.maximal_faces, c.vertices
+    packed = _packed(verts) if faces else []
+    shapes: dict[tuple[int, ...], int] = {}  # a small int per face shape
+    keys, boxes = [], []
+    for face in faces:
+        points = sorted([packed[i] for i in face])
+        least = points[0]
+        keys.append((shapes.setdefault(tuple([p - least for p in points]), len(shapes)),
+                     least))
+        columns = list(zip(*[verts[i] for i in face]))
+        boxes.append((tuple(map(min, columns)), tuple(map(max, columns))))
+    simplices: dict[int, Simplex] = {}
+    verdicts: dict[tuple[int, int, int], bool] = {}
     overlap_failures = []
-    for i, j in _overlapping_boxes([bounding_box(s) for s in simplices]):
-        if not intersection_is_common_face(simplices[i], simplices[j]):
+    for i, j in _overlapping_boxes(boxes):
+        (a, p), (b, q) = keys[i], keys[j]
+        key = (a, b, q - p)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            for k in (i, j):
+                if k not in simplices:
+                    simplices[k] = Simplex(tuple([verts[v] for v in faces[k]]))
+            verdict = verdicts[key] = intersection_is_common_face(simplices[i], simplices[j])
+        if not verdict:
             overlap_failures.append((faces[i], faces[j]))
 
     return ValidationReport(duplicate_vertices=tuple(duplicate_vertices),

@@ -23,8 +23,10 @@ class ResourceLimitError(SimplatError):
     an enumeration would scan more box points than
     counting.DEFAULT_ENUMERATION_LIMIT, a lattice class whose h*-vector is
     asked for has a larger normalized volume, a probe would count more
-    rows than verify.PROBE_ROW_LIMIT, or a generated grid would have more
-    maximal simplices than complexes.GENERATE_SIMPLEX_LIMIT."""
+    rows than verify.PROBE_ROW_LIMIT, a generated grid would have more
+    maximal simplices than complexes.GENERATE_SIMPLEX_LIMIT, or validation
+    would compare more pairs of maximal faces than
+    complexes.VALIDATE_PAIR_LIMIT."""
 
 
 class IntegrityError(SimplatError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul, sub
 
@@ -227,6 +227,19 @@ class Simplex:
     def ambient_dim(self) -> int:
         return len(self.vertices[0])
 
+    @cached_property
+    def _separators(self) -> tuple[list[LatticePoint], list, tuple[int, ...]]:
+        """(points, rows, denominators): the vertices sorted, and the
+        barycentric rows of the canonical translate's certificate with their
+        denominators, in that order, moved onto this simplex by its least
+        vertex v: a row (c0, cs) there is (c0 - cs . v, cs) here.  Computed
+        on first read and kept on the instance, so a simplex moves its rows
+        once for every pair test it takes part in."""
+        points = sorted(self.vertices)
+        bary, _, denoms, _ = _certificate(translation_key(points))
+        least = points[0]
+        return points, [(c0 - sum(map(mul, cs, least)), cs) for c0, cs in bary], denoms
+
     @property
     def intrinsic_dim(self) -> int:
         return len(self.vertices) - 1
@@ -337,24 +350,26 @@ def _separates(row, p, q, nshared: int) -> bool:
     vertex in p and <= 0 on every vertex in q (or the reverse), and vanishes
     on exactly nshared vertices of p or of q."""
     c0, cs = row
-    fp = [c0 + sum(c * x for c, x in zip(cs, v)) for v in p]
-    fq = [c0 + sum(c * x for c, x in zip(cs, v)) for v in q]
+    fp = [c0 + sum(map(mul, cs, v)) for v in p]
+    fq = [c0 + sum(map(mul, cs, v)) for v in q]
     if not (min(fp) >= 0 >= max(fq) or max(fp) <= 0 <= min(fq)):
         return False
     return fp.count(0) == nshared or fq.count(0) == nshared
 
 
 def _separating_rows(s: Simplex, shared: set[LatticePoint]):
-    """Candidate functionals from the barycentric rows of s: first the sum
-    of the rows of its non-shared vertices over a common denominator, then
-    every row on its own.  They are read off the certificate of the
-    canonical translate, in sorted vertex order, and moved onto s by its
-    least vertex point v: a row (c0, cs) there is (c0 - cs . v, cs) on s."""
-    points = sorted(s.vertices)
-    bary, _, denoms, _ = _certificate(translation_key(points))
-    bary = [(c0 - sum(map(mul, cs, points[0])), cs) for c0, cs in bary]
+    """Candidate functionals from the barycentric rows of s, already moved
+    onto s (see Simplex._separators): first the sum of the rows of its
+    non-shared vertices over a common denominator, then every row on its
+    own.  With no vertex shared, the sum is over every row, which on a
+    full-dimensional s is the constant lcm of the denominators (the
+    barycentric weights sum to 1 on its affine hull, all of R^d), so it
+    separates nothing and is skipped.  On a lower-dimensional s the weights
+    sum to 1 only on its hull, and whether the sum is constant off the hull
+    depends on the rows _certificate chose, so the sum is kept there."""
+    points, bary, denoms = s._separators
     free = [j for j, p in enumerate(points) if p not in shared]
-    if free:
+    if free and (shared or len(points) <= s.ambient_dim):
         m = lcm(*(denoms[j] for j in free))
         scaled = [(m // denoms[j], bary[j]) for j in free]
         yield (sum(k * c0 for k, (c0, _) in scaled),
@@ -373,8 +388,11 @@ def intersection_is_common_face(s1: Simplex, s2: Simplex) -> bool:
     in conv(Z1) ∩ conv(Z2), Zi the zero set of f on si, and one of those is
     the shared hull, which lies in s1 ∩ s2 anyway.  The candidates, each
     with either sign, are the barycentric rows of either simplex and their
-    sum over its non-shared vertices, each moved onto its simplex from the
-    class's certificate.  A pair no candidate settles goes to the exact LP.
+    sum over its non-shared vertices, except that sum where it is a
+    constant (see _separating_rows).  Each simplex's rows are moved onto
+    it from its class's certificate once and kept on the Simplex, so a
+    simplex tested in many pairs moves them once.  A pair no candidate
+    settles goes to the exact LP.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise InputError("simplices live in different ambient dimensions")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplat import cli, count_method, generate_complex, load_complex
+from simplat import cli, complexes, count_method, generate_complex, load_complex
 from simplat.documents import (MAX_SAFE_INT, complex_to_document, document_to_json,
                                parse_document)
 from simplat.errors import IntegrityError, ParseError
@@ -242,6 +242,13 @@ class TestVerify:
         assert payload["method"] == "enumeration"
         assert payload["subchecks"] == []
         assert payload["verdict"] == "pass"
+
+    def test_validation_past_its_envelope_exits_3(self, capsys, monkeypatch, square_file):
+        # the square's two triangles are one pair with meeting boxes
+        monkeypatch.setattr(complexes, "VALIDATE_PAIR_LIMIT", 0)
+        code, out, err = run(capsys, "verify", square_file, "--modulus", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: more than 0 pairs of maximal faces")
 
 
 class TestProbe:

@@ -7,7 +7,8 @@ import re
 import time
 from fractions import Fraction
 from itertools import combinations
-from operator import add
+from math import factorial
+from operator import add, sub
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -626,6 +627,123 @@ class TestValidate:
         failures = validate(bad).overlap_failures
         assert failures == tuple(expected)
         assert failures and all(face in pair for pair in failures)
+
+
+def unmemoized_failures(c):
+    """validate's overlap_failures without the memo: every pair that
+    _overlapping_boxes finds, each tested through
+    intersection_is_common_face on the faces' own simplices."""
+    faces = c.maximal_faces
+    simplices = [geometry.Simplex(tuple([c.vertices[i] for i in f])) for f in faces]
+    pairs = complexes._overlapping_boxes([geometry.bounding_box(s) for s in simplices])
+    return tuple((faces[i], faces[j]) for i, j in pairs
+                 if not geometry.intersection_is_common_face(simplices[i], simplices[j]))
+
+
+@st.composite
+def grids_with_extras(draw):
+    """A moved subcomplex of a 2-D or 3-D grid, with 0-3 extra lattice
+    simplices whose vertices lie at most one step from its vertices, so
+    their boxes meet its faces' boxes; a point already listed keeps its
+    index, and a degenerate extra is left out."""
+    dim = draw(st.sampled_from((2, 3)))
+    grid = draw(st.integers(1, 4 if dim == 2 else 2))
+    keep = draw(st.sampled_from((Fraction(1, 2), Fraction(3, 4), 1)))
+    base = generate_complex(dim, grid, keep, seed=draw(st.integers(0, 2**16)))
+    shift = draw(st.tuples(*[st.integers(-10**6, 10**6)] * dim))
+    c = moved_complex(base, random.Random(draw(st.integers(0, 2**16))), shift)
+    vertices = list(c.vertices)
+    faces = [list(f) for f in c.maximal_faces]
+    for _ in range(draw(st.integers(0, 3))):
+        points = [tuple(map(add, draw(st.sampled_from(c.vertices)),
+                            draw(st.tuples(*[st.integers(-1, 1)] * dim))))
+                  for _ in range(draw(st.integers(2, dim + 1)))]
+        try:
+            geometry.Simplex(tuple(points))
+        except ValidationError:
+            continue
+        for p in points:
+            if p not in vertices:
+                vertices.append(p)
+        faces.append([vertices.index(p) for p in points])
+    return close_under_faces(faces, vertices, ambient_dim=dim)
+
+
+def whole_grid_box_pairs(dim, grid):
+    """Pairs of maximal faces of the whole grid whose boxes meet: two
+    simplices meet in their boxes when their cells' corners differ by at
+    most 1 on every axis, which 3 * grid - 2 corner pairs per axis do."""
+    cells = factorial(dim)
+    return (cells ** 2 * (3 * grid - 2) ** dim - cells * grid ** dim) // 2
+
+
+class TestValidationMemo:
+    """validate tests each pair of faces up to a common lattice translation
+    once, and refuses more than VALIDATE_PAIR_LIMIT pairs before testing
+    any."""
+
+    @given(grids_with_extras())
+    @settings(max_examples=60, deadline=None)
+    def test_failures_match_the_unmemoized_oracle(self, c):
+        assert validate(c).overlap_failures == unmemoized_failures(c)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (2, 3, 0, 1)])
+    def test_equal_shapes_at_another_offset_get_their_own_verdict(self, order):
+        # [0, 2] and [1, 3] overlap in [1, 2]; [10, 12] and [12, 14] share
+        # the point 12.  All four faces have the one shape, so the pairs
+        # differ only in the offset between their faces' least points (1
+        # and 2), and a key without it gives both the first verdict
+        points = [(0,), (2,), (1,), (3,), (10,), (12,), (14,)]
+        segments = [[0, 1], [2, 3], [4, 5], [5, 6]]
+        c = close_under_faces([segments[k] for k in order], points)
+        assert unmemoized_failures(c) == validate(c).overlap_failures == (((0, 1), (2, 3)),)
+
+    def test_each_pair_shape_is_tested_once(self, monkeypatch):
+        c = moved_complex(generate_complex(3, 4, 1, seed=0), random.Random(5),
+                          (10**6, -10**6, 7))
+        points = [[c.vertices[i] for i in f] for f in c.maximal_faces]
+        boxes = [geometry.bounding_box(geometry.Simplex(tuple(p))) for p in points]
+        pairs = list(complexes._overlapping_boxes(boxes))
+        shapes = {(translation_key(points[i]), translation_key(points[j]),
+                   tuple(map(sub, min(points[j]), min(points[i])))) for i, j in pairs}
+        test, calls = complexes.intersection_is_common_face, []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return test(a, b)
+
+        monkeypatch.setattr(complexes, "intersection_is_common_face", counted)
+        assert validate(c).passed
+        assert len(calls) == len(shapes)
+        assert len(pairs) > 10 * len(shapes)
+
+    @pytest.mark.parametrize("dim, grid", [(1, 5), (2, 3), (3, 2), (4, 1)])
+    def test_box_pairs_of_whole_grids(self, dim, grid):
+        c = generate_complex(dim, grid, 1, seed=0)
+        boxes = [geometry.bounding_box(c.simplex(f)) for f in c.maximal_faces]
+        assert len(list(complexes._overlapping_boxes(boxes))) == whole_grid_box_pairs(dim, grid)
+
+    def test_the_limit_lies_between_the_4d_grid_4_and_the_5d_grid_2(self):
+        assert whole_grid_box_pairs(4, 4) == 2_876_928
+        assert whole_grid_box_pairs(5, 2) == 7_370_880
+        assert whole_grid_box_pairs(6, 2) == 1_061_660_160
+        assert 2_876_928 < complexes.VALIDATE_PAIR_LIMIT == 4_000_000 < 7_370_880
+
+    def test_one_pair_over_the_limit_is_refused_before_any_test(self, monkeypatch):
+        c = generate_complex(2, 2, 1, seed=0)
+        pairs = whole_grid_box_pairs(2, 2)
+        monkeypatch.setattr(complexes, "VALIDATE_PAIR_LIMIT", pairs)
+        assert validate(c).passed
+
+        def refused(a, b):
+            raise AssertionError("a pair was tested")
+
+        monkeypatch.setattr(complexes, "intersection_is_common_face", refused)
+        monkeypatch.setattr(complexes, "VALIDATE_PAIR_LIMIT", pairs - 1)
+        with pytest.raises(ResourceLimitError, match=re.escape(
+                f"more than {pairs - 1} pairs of maximal faces have meeting "
+                f"bounding boxes, over the validation cap of {pairs - 1}")):
+            validate(c)
 
 
 class TestGenerator:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from operator import add
 from unittest import mock
 
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from simplat import (Simplex, barycentric_coordinates, bounding_box,
                      contains_point, dilate, exactlp, intersection_is_common_face)
 from simplat.errors import InputError, ValidationError
-from simplat.geometry import _certificate, _common_face_lp, hermite_normal_form
+from simplat.geometry import (_certificate, _common_face_lp, _separating_rows,
+                              hermite_normal_form)
 
 from helpers import (euclid_hnf, fraction_certificate, random_simplex,
                      sympy_barycentric, sympy_contains, triangle_contains)
@@ -346,3 +348,52 @@ class TestCommonFace:
                     if any(c > 0 for c, v in zip(cb, vb) if v not in shared):
                         stuck_out = True
             assert intersection_is_common_face(sa, sb) == (not stuck_out)
+
+
+def row_sum(s, shared):
+    """The sum of the moved barycentric rows of s over its vertices outside
+    shared, each scaled to the lcm of their denominators."""
+    points, rows, denoms = s._separators
+    free = [j for j, p in enumerate(points) if p not in shared]
+    m = lcm(*(denoms[j] for j in free))
+    return (sum(m // denoms[j] * rows[j][0] for j in free),
+            tuple(sum(m // denoms[j] * rows[j][1][i] for j in free)
+                  for i in range(s.ambient_dim)))
+
+
+class TestSeparatingRows:
+    """With no vertex shared, the first candidate functional would be the
+    sum of every barycentric row.  On a full-dimensional simplex that is
+    the constant lcm of the denominators, which separates nothing, so it
+    is skipped there and only there."""
+
+    @pytest.mark.parametrize("vertices", [
+        ((0, 0), (1, 0), (0, 1)),
+        ((3, -1), (5, 2), (-2, 4)),
+        ((10**6 + 1, 0, -10**6), (10**6, 2, -10**6), (10**6, 0, 3 - 10**6),
+         (10**6 + 1, 1, 1 - 10**6)),
+    ])
+    def test_full_dimensional_simplex_skips_the_constant_sum(self, vertices):
+        s = Simplex(vertices)
+        points, rows, denoms = s._separators
+        assert points == sorted(vertices)
+        # the rows moved onto s are those of its own certificate
+        assert (rows, denoms) == (list(_certificate(tuple(points))[0]),
+                                  _certificate(tuple(points))[2])
+        assert row_sum(s, set()) == (lcm(*denoms), (0,) * s.ambient_dim)
+        assert list(_separating_rows(s, set())) == rows
+        # a shared vertex leaves a sum over the others, tried first
+        shared = {points[1]}
+        assert list(_separating_rows(s, shared)) == [row_sum(s, shared)] + rows
+
+    @pytest.mark.parametrize("vertices", [
+        ((0, 0), (2, 1)),
+        ((5, -3, 1), (4, -1, 2)),
+        ((1, 0, 0), (0, 2, 0), (0, 0, 3)),
+        ((0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 2, 0)),
+    ])
+    def test_lower_dimensional_simplex_keeps_the_sum(self, vertices):
+        s = Simplex(vertices)
+        _, rows, _ = s._separators
+        assert list(_separating_rows(s, set())) == [row_sum(s, set())] + rows
+
